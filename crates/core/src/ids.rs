@@ -141,35 +141,23 @@ mod tests {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::snap_codec;
 
-macro_rules! id_snap {
-    ($name:ident) => {
-        impl Snap for $name {
-            fn snap(&self, w: &mut SnapWriter) {
-                w.u32(self.0);
-            }
-            fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                Ok($name(r.u32()?))
-            }
-        }
-    };
+snap_codec! {
+    struct ThreadId(id)
 }
-
-id_snap!(ThreadId);
-id_snap!(SpaceId);
-id_snap!(ObjId);
-id_snap!(ConnId);
+snap_codec! {
+    struct SpaceId(id)
+}
+snap_codec! {
+    struct ObjId(id)
+}
+snap_codec! {
+    struct ConnId(id)
+}
 
 // Arenas serialize their full slot vector, tombstones included: indices are
 // identities, so destroyed-handle holes must survive the round trip.
-impl<T: Snap> Snap for Arena<T> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.slots.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Arena {
-            slots: Snap::restore(r)?,
-        })
-    }
+snap_codec! {
+    struct Arena<T> { slots }
 }

@@ -364,21 +364,10 @@ impl Kernel {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::snap_codec;
 
-impl Snap for Kfault {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cfg.snap(w);
-        w.u64(self.sites_seen);
-        w.bool(self.fired);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Kfault {
-            cfg: Snap::restore(r)?,
-            sites_seen: r.u64()?,
-            fired: r.bool()?,
-        })
-    }
+snap_codec! {
+    struct Kfault { cfg, sites_seen, fired }
 }
 
 #[cfg(test)]

@@ -407,33 +407,10 @@ impl Kprof {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::snap_codec;
 
-impl Snap for Kprof {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.enabled);
-        w.bool(self.track_paths);
-        w.u32(self.depth);
-        w.u32(self.code);
-        w.bool(self.in_lock);
-        w.u64(self.user);
-        w.u64(self.idle);
-        self.kernel.snap(w);
-        self.preempt_latency.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Kprof {
-            enabled: r.bool()?,
-            track_paths: r.bool()?,
-            depth: r.u32()?,
-            code: r.u32()?,
-            in_lock: r.bool()?,
-            user: r.u64()?,
-            idle: r.u64()?,
-            kernel: Snap::restore(r)?,
-            preempt_latency: Snap::restore(r)?,
-        })
-    }
+snap_codec! {
+    struct Kprof { enabled, track_paths, depth, code, in_lock, user, idle, kernel, preempt_latency }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fluke_api::{ErrorCode, ObjType, Sys, SysClass};
 use fluke_arch::cost::{CostModel, Cycles};
@@ -285,19 +285,24 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Consume exactly `N` raw bytes as an array.
+    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        self.take(N)?.try_into().map_err(|_| SnapError::Truncated)
+    }
+
     /// Read a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Read a `usize` (stored as `u64`).
@@ -354,6 +359,115 @@ pub trait Snap: Sized {
     /// Decode one value from the stream.
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
+
+/// Generate a [`Snap`] codec from one field list, so the encoder and the
+/// decoder cannot disagree about which fields are stored or in what order.
+///
+/// * `struct Name { a, b, c }`: the fields are encoded in the listed order.
+///   The encoder destructures `Self { a, b, c }` without `..`, so a field
+///   missing from the list is a compile error. A field that is not stored
+///   names its restore value instead (`text = None`). A field stored with
+///   some other codec than its type's `Snap` names a module holding
+///   `snap(&T, &mut SnapWriter)` and `restore(&mut SnapReader) ->
+///   Result<T, SnapError>` (`class via class_name`). Type parameters
+///   (`struct Arena<T> { .. }`) are bounded by `Snap`.
+/// * `struct Name(a, b)`: a tuple struct; the names only bind positions.
+/// * `enum Name as "what" { 0 => Unit, 1 => Tuple(a, b), 2 => Named { x } }`:
+///   a `u8` tag, then the variant's fields in order. An unknown tag decodes
+///   to [`SnapError::BadTag`] naming `what`.
+/// * `(A, B, C)`: a tuple of `Snap` types.
+/// * `fields Name(encode, decode) { .. }`: the struct form emitted as two
+///   private inherent methods rather than a `Snap` impl, for a type whose
+///   public entry points wrap the body in headers and checks.
+macro_rules! snap_codec {
+    (struct $ty:ident $(<$($g:ident),+>)? { $($body:tt)* }) => {
+        impl$(<$($g: $crate::krec::Snap),+>)? $crate::krec::Snap for $ty$(<$($g),+>)? {
+            $crate::krec::snap_codec!(@fields snap, restore, $($body)*);
+        }
+    };
+    (struct $ty:ident ($($f:ident),+ $(,)?)) => {
+        impl $crate::krec::Snap for $ty {
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                let Self($($f),+) = self;
+                $($crate::krec::Snap::snap($f, w);)+
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                $(let $f = $crate::krec::Snap::restore(r)?;)+
+                Ok(Self($($f),+))
+            }
+        }
+    };
+    (fields $ty:ident($enc:ident, $dec:ident) { $($body:tt)* }) => {
+        impl $ty {
+            $crate::krec::snap_codec!(@fields $enc, $dec, $($body)*);
+        }
+    };
+    (enum $ty:ident as $what:literal {
+        $($tag:literal => $v:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::krec::Snap for $ty {
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                match self {
+                    $(Self::$v $(($($tf),+))? $({ $($sf),+ })? => {
+                        w.u8($tag);
+                        $($($crate::krec::Snap::snap($tf, w);)+)?
+                        $($($crate::krec::Snap::snap($sf, w);)+)?
+                    })+
+                }
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $tf = $crate::krec::Snap::restore(r)?;)+)?
+                        $($(let $sf = $crate::krec::Snap::restore(r)?;)+)?
+                        Self::$v $(($($tf),+))? $({ $($sf),+ })?
+                    })+
+                    t => {
+                        return Err($crate::krec::SnapError::BadTag {
+                            what: $what,
+                            tag: t as u32,
+                        })
+                    }
+                })
+            }
+        }
+    };
+    (($($t:ident),+)) => {
+        impl<$($t: $crate::krec::Snap),+> $crate::krec::Snap for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                let ($($t,)+) = self;
+                $($crate::krec::Snap::snap($t, w);)+
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                Ok(($($t::restore(r)?,)+))
+            }
+        }
+    };
+    (@fields $enc:ident, $dec:ident, $($f:ident $(via $m:ident)? $(= $e:expr)?),+ $(,)?) => {
+        fn $enc(&self, w: &mut $crate::krec::SnapWriter) {
+            let Self { $($f),+ } = self;
+            $($crate::krec::snap_codec!(@enc w, $f $(via $m)? $(= $e)?);)+
+        }
+        fn $dec(r: &mut $crate::krec::SnapReader<'_>) -> Result<Self, $crate::krec::SnapError> {
+            $(let $f = $crate::krec::snap_codec!(@dec r $(via $m)? $(= $e)?);)+
+            Ok(Self { $($f),+ })
+        }
+    };
+    (@enc $w:ident, $f:ident) => { $crate::krec::Snap::snap($f, $w) };
+    (@enc $w:ident, $f:ident via $m:ident) => { $m::snap($f, $w) };
+    (@enc $w:ident, $f:ident = $e:expr) => { let _ = $f; };
+    (@dec $r:ident) => { $crate::krec::Snap::restore($r)? };
+    (@dec $r:ident via $m:ident) => { $m::restore($r)? };
+    (@dec $r:ident = $e:expr) => { $e };
+}
+pub(crate) use snap_codec;
 
 macro_rules! snap_prim {
     ($ty:ty, $wm:ident, $rm:ident) => {
@@ -458,6 +572,15 @@ impl<T: Snap> Snap for Box<T> {
     }
 }
 
+impl<T: Snap> Snap for Arc<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Arc::new(T::restore(r)?))
+    }
+}
+
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn snap(&self, w: &mut SnapWriter) {
         w.usize(self.len());
@@ -502,43 +625,9 @@ impl<K: Snap + Ord + Eq + Hash, V: Snap> Snap for HashMap<K, V> {
     }
 }
 
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.0.snap(w);
-        self.1.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::restore(r)?, B::restore(r)?))
-    }
-}
-
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.0.snap(w);
-        self.1.snap(w);
-        self.2.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::restore(r)?, B::restore(r)?, C::restore(r)?))
-    }
-}
-
-impl<A: Snap, B: Snap, C: Snap, D: Snap> Snap for (A, B, C, D) {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.0.snap(w);
-        self.1.snap(w);
-        self.2.snap(w);
-        self.3.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((
-            A::restore(r)?,
-            B::restore(r)?,
-            C::restore(r)?,
-            D::restore(r)?,
-        ))
-    }
-}
+snap_codec!((A, B));
+snap_codec!((A, B, C));
+snap_codec!((A, B, C, D));
 
 impl<T: Snap, const N: usize> Snap for [T; N] {
     fn snap(&self, w: &mut SnapWriter) {
@@ -573,212 +662,53 @@ impl Snap for Reg {
     }
 }
 
-impl Snap for Cond {
-    fn snap(&self, w: &mut SnapWriter) {
-        let t = match self {
-            Cond::Always => 0u8,
-            Cond::Eq => 1,
-            Cond::Ne => 2,
-            Cond::Lt => 3,
-            Cond::Ge => 4,
-        };
-        w.u8(t);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Cond::Always,
-            1 => Cond::Eq,
-            2 => Cond::Ne,
-            3 => Cond::Lt,
-            4 => Cond::Ge,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "cond",
-                    tag: t as u32,
-                })
-            }
-        })
+snap_codec! {
+    enum Cond as "cond" {
+        0 => Always,
+        1 => Eq,
+        2 => Ne,
+        3 => Lt,
+        4 => Ge,
     }
 }
 
-impl Snap for Instr {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            Instr::MovI(a, b) => {
-                w.u8(0);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Mov(a, b) => {
-                w.u8(1);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::Add(a, b) => {
-                w.u8(2);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::AddI(a, b) => {
-                w.u8(3);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Sub(a, b) => {
-                w.u8(4);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::SubI(a, b) => {
-                w.u8(5);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Mul(a, b) => {
-                w.u8(6);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::Xor(a, b) => {
-                w.u8(7);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::AndI(a, b) => {
-                w.u8(8);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::ShrI(a, b) => {
-                w.u8(9);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::ShlI(a, b) => {
-                w.u8(10);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Cmp(a, b) => {
-                w.u8(11);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::CmpI(a, b) => {
-                w.u8(12);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Jmp(c, t) => {
-                w.u8(13);
-                c.snap(w);
-                w.u32(t);
-            }
-            Instr::Load(a, b, o) => {
-                w.u8(14);
-                a.snap(w);
-                b.snap(w);
-                o.snap(w);
-            }
-            Instr::Store(b, o, s) => {
-                w.u8(15);
-                b.snap(w);
-                o.snap(w);
-                s.snap(w);
-            }
-            Instr::LoadB(a, b, o) => {
-                w.u8(16);
-                a.snap(w);
-                b.snap(w);
-                o.snap(w);
-            }
-            Instr::StoreB(b, o, s) => {
-                w.u8(17);
-                b.snap(w);
-                o.snap(w);
-                s.snap(w);
-            }
-            Instr::Push(a) => {
-                w.u8(18);
-                a.snap(w);
-            }
-            Instr::Pop(a) => {
-                w.u8(19);
-                a.snap(w);
-            }
-            Instr::RepMovsB => w.u8(20),
-            Instr::RepStosB => w.u8(21),
-            Instr::Syscall => w.u8(22),
-            Instr::Compute(n) => {
-                w.u8(23);
-                w.u32(n);
-            }
-            Instr::Halt => w.u8(24),
-            Instr::Nop => w.u8(25),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Instr::MovI(Reg::restore(r)?, r.u32()?),
-            1 => Instr::Mov(Reg::restore(r)?, Reg::restore(r)?),
-            2 => Instr::Add(Reg::restore(r)?, Reg::restore(r)?),
-            3 => Instr::AddI(Reg::restore(r)?, r.u32()?),
-            4 => Instr::Sub(Reg::restore(r)?, Reg::restore(r)?),
-            5 => Instr::SubI(Reg::restore(r)?, r.u32()?),
-            6 => Instr::Mul(Reg::restore(r)?, Reg::restore(r)?),
-            7 => Instr::Xor(Reg::restore(r)?, Reg::restore(r)?),
-            8 => Instr::AndI(Reg::restore(r)?, r.u32()?),
-            9 => Instr::ShrI(Reg::restore(r)?, r.u32()?),
-            10 => Instr::ShlI(Reg::restore(r)?, r.u32()?),
-            11 => Instr::Cmp(Reg::restore(r)?, Reg::restore(r)?),
-            12 => Instr::CmpI(Reg::restore(r)?, r.u32()?),
-            13 => Instr::Jmp(Cond::restore(r)?, r.u32()?),
-            14 => Instr::Load(Reg::restore(r)?, Reg::restore(r)?, i32::restore(r)?),
-            15 => Instr::Store(Reg::restore(r)?, i32::restore(r)?, Reg::restore(r)?),
-            16 => Instr::LoadB(Reg::restore(r)?, Reg::restore(r)?, i32::restore(r)?),
-            17 => Instr::StoreB(Reg::restore(r)?, i32::restore(r)?, Reg::restore(r)?),
-            18 => Instr::Push(Reg::restore(r)?),
-            19 => Instr::Pop(Reg::restore(r)?),
-            20 => Instr::RepMovsB,
-            21 => Instr::RepStosB,
-            22 => Instr::Syscall,
-            23 => Instr::Compute(r.u32()?),
-            24 => Instr::Halt,
-            25 => Instr::Nop,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "instr",
-                    tag: t as u32,
-                })
-            }
-        })
+snap_codec! {
+    enum Instr as "instr" {
+        0 => MovI(a, b),
+        1 => Mov(a, b),
+        2 => Add(a, b),
+        3 => AddI(a, b),
+        4 => Sub(a, b),
+        5 => SubI(a, b),
+        6 => Mul(a, b),
+        7 => Xor(a, b),
+        8 => AndI(a, b),
+        9 => ShrI(a, b),
+        10 => ShlI(a, b),
+        11 => Cmp(a, b),
+        12 => CmpI(a, b),
+        13 => Jmp(c, t),
+        14 => Load(a, b, o),
+        15 => Store(b, o, s),
+        16 => LoadB(a, b, o),
+        17 => StoreB(b, o, s),
+        18 => Push(a),
+        19 => Pop(a),
+        20 => RepMovsB,
+        21 => RepStosB,
+        22 => Syscall,
+        23 => Compute(n),
+        24 => Halt,
+        25 => Nop,
     }
 }
 
-impl Snap for UserRegs {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.gpr.snap(w);
-        w.u32(self.eip);
-        w.u32(self.eflags);
-        self.pr.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(UserRegs {
-            gpr: Snap::restore(r)?,
-            eip: r.u32()?,
-            eflags: r.u32()?,
-            pr: Snap::restore(r)?,
-        })
-    }
+snap_codec! {
+    struct UserRegs { gpr, eip, eflags, pr }
 }
 
-impl Snap for ProgramId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProgramId(r.u64()?))
-    }
+snap_codec! {
+    struct ProgramId(id)
 }
 
 impl Snap for Program {
@@ -800,88 +730,41 @@ impl Snap for Program {
     }
 }
 
-impl Snap for Cpu {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.id);
-        w.u64(self.now);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let id = r.usize()?;
-        let now = r.u64()?;
-        let mut c = Cpu::new(id);
-        c.now = now;
-        Ok(c)
-    }
+snap_codec! {
+    struct Cpu { id, now }
 }
 
-impl Snap for CostModel {
-    fn snap(&self, w: &mut SnapWriter) {
-        for v in [
-            self.user_instr,
-            self.user_string_byte_per,
-            self.hw_trap_enter,
-            self.hw_trap_exit,
-            self.sw_entry_common,
-            self.interrupt_entry_extra,
-            self.interrupt_exit_extra,
-            self.ctx_switch_base,
-            self.ctx_switch_kernel_regs,
-            self.addr_space_switch,
-            self.copy_byte_per,
-            self.ipc_setup,
-            self.klock_acquire,
-            self.klock_release,
-            self.mp_lock_acquire,
-            self.mp_lock_release,
-            self.tlb_shootdown_ipi,
-            self.tlb_shootdown_ack,
-            self.schedule_op,
-            self.soft_fault_resolve,
-            self.server_fault_extra,
-            self.hard_fault_kernel,
-            self.object_create,
-            self.object_destroy,
-            self.object_op,
-            self.region_search_page,
-            self.preempt_check,
-            self.timer_irq,
-            self.timeslice,
-        ] {
-            w.u64(v);
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CostModel {
-            user_instr: r.u64()?,
-            user_string_byte_per: r.u64()?,
-            hw_trap_enter: r.u64()?,
-            hw_trap_exit: r.u64()?,
-            sw_entry_common: r.u64()?,
-            interrupt_entry_extra: r.u64()?,
-            interrupt_exit_extra: r.u64()?,
-            ctx_switch_base: r.u64()?,
-            ctx_switch_kernel_regs: r.u64()?,
-            addr_space_switch: r.u64()?,
-            copy_byte_per: r.u64()?,
-            ipc_setup: r.u64()?,
-            klock_acquire: r.u64()?,
-            klock_release: r.u64()?,
-            mp_lock_acquire: r.u64()?,
-            mp_lock_release: r.u64()?,
-            tlb_shootdown_ipi: r.u64()?,
-            tlb_shootdown_ack: r.u64()?,
-            schedule_op: r.u64()?,
-            soft_fault_resolve: r.u64()?,
-            server_fault_extra: r.u64()?,
-            hard_fault_kernel: r.u64()?,
-            object_create: r.u64()?,
-            object_destroy: r.u64()?,
-            object_op: r.u64()?,
-            region_search_page: r.u64()?,
-            preempt_check: r.u64()?,
-            timer_irq: r.u64()?,
-            timeslice: r.u64()?,
-        })
+snap_codec! {
+    struct CostModel {
+        user_instr,
+        user_string_byte_per,
+        hw_trap_enter,
+        hw_trap_exit,
+        sw_entry_common,
+        interrupt_entry_extra,
+        interrupt_exit_extra,
+        ctx_switch_base,
+        ctx_switch_kernel_regs,
+        addr_space_switch,
+        copy_byte_per,
+        ipc_setup,
+        klock_acquire,
+        klock_release,
+        mp_lock_acquire,
+        mp_lock_release,
+        tlb_shootdown_ipi,
+        tlb_shootdown_ack,
+        schedule_op,
+        soft_fault_resolve,
+        server_fault_extra,
+        hard_fault_kernel,
+        object_create,
+        object_destroy,
+        object_op,
+        region_search_page,
+        preempt_check,
+        timer_irq,
+        timeslice,
     }
 }
 
@@ -944,61 +827,23 @@ impl Snap for ErrorCode {
 // Config
 // ---------------------------------------------------------------------------
 
-impl Snap for ExecModel {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            ExecModel::Process => 0,
-            ExecModel::Interrupt => 1,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => ExecModel::Process,
-            1 => ExecModel::Interrupt,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "execmodel",
-                    tag: t as u32,
-                })
-            }
-        })
+snap_codec! {
+    enum ExecModel as "execmodel" {
+        0 => Process,
+        1 => Interrupt,
     }
 }
 
-impl Snap for Preemption {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            Preemption::None => 0,
-            Preemption::Partial => 1,
-            Preemption::Full => 2,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Preemption::None,
-            1 => Preemption::Partial,
-            2 => Preemption::Full,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "preemption",
-                    tag: t as u32,
-                })
-            }
-        })
+snap_codec! {
+    enum Preemption as "preemption" {
+        0 => None,
+        1 => Partial,
+        2 => Full,
     }
 }
 
-impl Snap for TraceConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.enabled);
-        w.usize(self.ring_capacity);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TraceConfig {
-            enabled: r.bool()?,
-            ring_capacity: r.usize()?,
-        })
-    }
+snap_codec! {
+    struct TraceConfig { enabled, ring_capacity }
 }
 
 impl Snap for KfaultKind {
@@ -1017,16 +862,8 @@ impl Snap for KfaultKind {
     }
 }
 
-impl Snap for KfaultConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.kind.snap(w);
-        w.u64(self.site);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let kind = KfaultKind::restore(r)?;
-        let site = r.u64()?;
-        Ok(KfaultConfig::at(kind, site))
-    }
+snap_codec! {
+    struct KfaultConfig { kind, site }
 }
 
 /// Config labels that exist as compile-time literals; restore interns
@@ -1062,61 +899,41 @@ pub(crate) fn intern_static(s: String) -> &'static str {
     leaked
 }
 
-/// Intern a `kspan` class name: entrypoint names come from the static
-/// [`fluke_api::SYSCALLS`] table; `"invalid"` is the bad-entrypoint class.
-pub(crate) fn intern_class(s: &str) -> Result<&'static str, SnapError> {
-    if s == "invalid" {
-        return Ok("invalid");
+/// Codec for [`Config::label`]: restore interns the label ([`intern_static`]).
+mod interned_label {
+    use super::{intern_static, SnapError, SnapReader, SnapWriter};
+
+    pub(super) fn snap(label: &&'static str, w: &mut SnapWriter) {
+        w.str(label);
     }
-    fluke_api::SYSCALLS
-        .iter()
-        .map(|d| d.sys.name())
-        .find(|n| *n == s)
-        .ok_or(SnapError::UnknownClass)
+
+    pub(super) fn restore(r: &mut SnapReader<'_>) -> Result<&'static str, SnapError> {
+        Ok(intern_static(r.str()?))
+    }
 }
 
-impl Snap for Config {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.model.snap(w);
-        self.preempt.snap(w);
-        w.usize(self.num_cpus);
-        w.u32(self.kstack_bytes);
-        w.u32(self.tcb_bytes);
-        w.u64(self.timeslice);
-        self.trace.snap(w);
-        w.bool(self.kprof);
-        w.bool(self.kspan);
-        w.bool(self.fast_mem);
-        self.kfault.snap(w);
-        w.bool(self.big_lock);
-        w.bool(self.port_index);
-        w.str(self.label);
-        // `krec` is deliberately not encoded: the recorder is host-side
-        // state, and a recording kernel must digest-match its replayed twin
-        // (whose config never arms krec).
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Config {
-            model: Snap::restore(r)?,
-            preempt: Snap::restore(r)?,
-            num_cpus: r.usize()?,
-            kstack_bytes: r.u32()?,
-            tcb_bytes: r.u32()?,
-            timeslice: r.u64()?,
-            trace: Snap::restore(r)?,
-            kprof: r.bool()?,
-            kspan: r.bool()?,
-            fast_mem: r.bool()?,
-            kfault: Snap::restore(r)?,
-            big_lock: r.bool()?,
-            port_index: r.bool()?,
-            label: intern_static(r.str()?),
-            krec: None,
-            // `flowcheck`, like `krec`, is host-side observability and is
-            // not part of the snapshot contract: a restored twin boots
-            // with the checker off and digest-matches either way.
-            flowcheck: false,
-        })
+// `krec` is deliberately not encoded: the recorder is host-side state, and
+// a recording kernel must digest-match its replayed twin (whose config
+// never arms krec). `flowcheck`, like `krec`, is host-side observability:
+// a restored twin boots with the checker off and digest-matches either way.
+snap_codec! {
+    struct Config {
+        model,
+        preempt,
+        num_cpus,
+        kstack_bytes,
+        tcb_bytes,
+        timeslice,
+        trace,
+        kprof,
+        kspan,
+        fast_mem,
+        kfault,
+        big_lock,
+        port_index,
+        label via interned_label,
+        krec = None,
+        flowcheck = false,
     }
 }
 

@@ -506,188 +506,124 @@ impl Kspan {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{intern_class, Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::snap_codec;
 
-impl Snap for Seg {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            Seg::OnCpu => w.u8(0),
-            Seg::Runnable => w.u8(1),
-            Seg::Blocked(reason) => {
-                w.u8(2);
-                reason.snap(w);
-            }
+snap_codec! {
+    enum Seg as "Seg" {
+        0 => OnCpu,
+        1 => Runnable,
+        2 => Blocked(reason),
+    }
+}
+
+/// Codec for request classes: `&'static str` entrypoint names that
+/// round-trip through the static [`fluke_api::SYSCALLS`] name table;
+/// `"invalid"` is the bad-entrypoint class.
+mod class_name {
+    use crate::krec::{SnapError, SnapReader, SnapWriter};
+
+    pub(super) fn snap(class: &&'static str, w: &mut SnapWriter) {
+        w.str(class);
+    }
+
+    pub(super) fn restore(r: &mut SnapReader<'_>) -> Result<&'static str, SnapError> {
+        let s = r.str()?;
+        if s == "invalid" {
+            return Ok("invalid");
+        }
+        fluke_api::SYSCALLS
+            .iter()
+            .map(|d| d.sys.name())
+            .find(|n| *n == s)
+            .ok_or(SnapError::UnknownClass)
+    }
+}
+
+/// Codec for class-keyed maps: length, then each (class name, value).
+mod class_map {
+    use std::collections::BTreeMap;
+
+    use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+
+    pub(super) fn snap<V: Snap>(m: &BTreeMap<&'static str, V>, w: &mut SnapWriter) {
+        w.usize(m.len());
+        for (k, v) in m {
+            super::class_name::snap(k, w);
+            v.snap(w);
         }
     }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Seg::OnCpu,
-            1 => Seg::Runnable,
-            2 => Seg::Blocked(Snap::restore(r)?),
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "Seg",
-                    tag: t as u32,
-                })
-            }
-        })
+
+    pub(super) fn restore<V: Snap>(
+        r: &mut SnapReader<'_>,
+    ) -> Result<BTreeMap<&'static str, V>, SnapError> {
+        let n = r.usize()?;
+        let mut out = BTreeMap::new();
+        for _ in 0..n {
+            let k = super::class_name::restore(r)?;
+            out.insert(k, V::restore(r)?);
+        }
+        Ok(out)
     }
 }
 
-// Request classes are `&'static str` entrypoint names; they round-trip
-// through the syscall name table (`intern_class`).
-impl Snap for Span {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.req);
-        w.u64(self.id);
-        self.parent.snap(w);
-        w.str(self.class);
-        w.u64(self.open_at);
-        w.u64(self.seg_start);
-        self.seg.snap(w);
-        w.u64(self.seg_lock);
-        w.u64(self.on_cpu);
-        w.u64(self.runnable_wait);
-        w.u64(self.blocked_ipc);
-        w.u64(self.lock_wait);
-        w.u64(self.blocked_other);
-        self.frames.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Span {
-            req: r.u64()?,
-            id: r.u64()?,
-            parent: Snap::restore(r)?,
-            class: intern_class(&r.str()?)?,
-            open_at: r.u64()?,
-            seg_start: r.u64()?,
-            seg: Snap::restore(r)?,
-            seg_lock: r.u64()?,
-            on_cpu: r.u64()?,
-            runnable_wait: r.u64()?,
-            blocked_ipc: r.u64()?,
-            lock_wait: r.u64()?,
-            blocked_other: r.u64()?,
-            frames: Snap::restore(r)?,
-        })
+snap_codec! {
+    struct Span {
+        req,
+        id,
+        parent,
+        class via class_name,
+        open_at,
+        seg_start,
+        seg,
+        seg_lock,
+        on_cpu,
+        runnable_wait,
+        blocked_ipc,
+        lock_wait,
+        blocked_other,
+        frames,
     }
 }
 
-impl Snap for RequestRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.req);
-        w.u64(self.span);
-        self.parent.snap(w);
-        w.str(self.class);
-        self.thread.snap(w);
-        w.u64(self.open_at);
-        w.u64(self.close_at);
-        w.u64(self.on_cpu);
-        w.u64(self.runnable_wait);
-        w.u64(self.blocked_ipc);
-        w.u64(self.lock_wait);
-        w.u64(self.blocked_other);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestRecord {
-            req: r.u64()?,
-            span: r.u64()?,
-            parent: Snap::restore(r)?,
-            class: intern_class(&r.str()?)?,
-            thread: Snap::restore(r)?,
-            open_at: r.u64()?,
-            close_at: r.u64()?,
-            on_cpu: r.u64()?,
-            runnable_wait: r.u64()?,
-            blocked_ipc: r.u64()?,
-            lock_wait: r.u64()?,
-            blocked_other: r.u64()?,
-        })
+snap_codec! {
+    struct RequestRecord {
+        req,
+        span,
+        parent,
+        class via class_name,
+        thread,
+        open_at,
+        close_at,
+        on_cpu,
+        runnable_wait,
+        blocked_ipc,
+        lock_wait,
+        blocked_other,
     }
 }
 
-impl Snap for FlowEdge {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.from_span);
-        w.u64(self.to_span);
-        self.from_thread.snap(w);
-        self.to_thread.snap(w);
-        w.u64(self.at);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FlowEdge {
-            from_span: r.u64()?,
-            to_span: r.u64()?,
-            from_thread: Snap::restore(r)?,
-            to_thread: Snap::restore(r)?,
-            at: r.u64()?,
-        })
-    }
+snap_codec! {
+    struct FlowEdge { from_span, to_span, from_thread, to_thread, at }
 }
 
-impl Snap for ObjectContention {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.wait_cycles);
-        w.u64(self.waits);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ObjectContention {
-            wait_cycles: r.u64()?,
-            waits: r.u64()?,
-        })
-    }
+snap_codec! {
+    struct ObjectContention { wait_cycles, waits }
 }
 
-fn snap_class_map<V: Snap>(m: &BTreeMap<&'static str, V>, w: &mut SnapWriter) {
-    w.usize(m.len());
-    for (k, v) in m {
-        w.str(k);
-        v.snap(w);
-    }
-}
-
-fn restore_class_map<V: Snap>(
-    r: &mut SnapReader<'_>,
-) -> Result<BTreeMap<&'static str, V>, SnapError> {
-    let n = r.usize()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let k = intern_class(&r.str()?)?;
-        out.insert(k, V::restore(r)?);
-    }
-    Ok(out)
-}
-
-impl Snap for Kspan {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.enabled);
-        w.u64(self.next_req);
-        w.u64(self.next_span);
-        self.active.snap(w);
-        self.req_sizes.snap(w);
-        self.completed.snap(w);
-        w.u64(self.aborted);
-        self.flows.snap(w);
-        self.contention.snap(w);
-        snap_class_map(&self.class_hist, w);
-        snap_class_map(&self.class_frames, w);
-        self.overall.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Kspan {
-            enabled: r.bool()?,
-            next_req: r.u64()?,
-            next_span: r.u64()?,
-            active: Snap::restore(r)?,
-            req_sizes: Snap::restore(r)?,
-            completed: Snap::restore(r)?,
-            aborted: r.u64()?,
-            flows: Snap::restore(r)?,
-            contention: Snap::restore(r)?,
-            class_hist: restore_class_map(r)?,
-            class_frames: restore_class_map(r)?,
-            overall: Snap::restore(r)?,
-        })
+snap_codec! {
+    struct Kspan {
+        enabled,
+        next_req,
+        next_span,
+        active,
+        req_sizes,
+        completed,
+        aborted,
+        flows,
+        contention,
+        class_hist via class_map,
+        class_frames via class_map,
+        overall,
     }
 }
 

@@ -272,7 +272,7 @@ impl ObjectTable {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_codec, Snap, SnapError, SnapReader, SnapWriter};
 
 impl Snap for BufferedMsg {
     fn snap(&self, w: &mut SnapWriter) {
@@ -289,161 +289,30 @@ impl Snap for BufferedMsg {
     }
 }
 
-impl Snap for ObjData {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            ObjData::Mutex { locked, waiters } => {
-                w.u8(0);
-                w.bool(*locked);
-                waiters.snap(w);
-            }
-            ObjData::Cond { waiters } => {
-                w.u8(1);
-                waiters.snap(w);
-            }
-            ObjData::Mapping {
-                space,
-                base,
-                size,
-                region,
-                offset,
-                region_token,
-                writable,
-            } => {
-                w.u8(2);
-                space.snap(w);
-                w.u32(*base);
-                w.u32(*size);
-                region.snap(w);
-                w.u32(*offset);
-                w.u32(*region_token);
-                w.bool(*writable);
-            }
-            ObjData::Region {
-                owner,
-                base,
-                size,
-                keeper,
-                keeper_token,
-                self_token,
-            } => {
-                w.u8(3);
-                owner.snap(w);
-                w.u32(*base);
-                w.u32(*size);
-                keeper.snap(w);
-                w.u32(*keeper_token);
-                w.u32(*self_token);
-            }
-            ObjData::Port {
-                pset,
-                pset_token,
-                connect_q,
-                server_q,
-                oneway_senders,
-                oneway_receivers,
-                buffered,
-            } => {
-                w.u8(4);
-                pset.snap(w);
-                w.u32(*pset_token);
-                connect_q.snap(w);
-                server_q.snap(w);
-                oneway_senders.snap(w);
-                oneway_receivers.snap(w);
-                buffered.snap(w);
-            }
-            ObjData::Pset { members, server_q } => {
-                w.u8(5);
-                members.snap(w);
-                server_q.snap(w);
-            }
-            ObjData::Space(s) => {
-                w.u8(6);
-                s.snap(w);
-            }
-            ObjData::Thread(t) => {
-                w.u8(7);
-                t.snap(w);
-            }
-            ObjData::Ref {
-                target,
-                target_token,
-            } => {
-                w.u8(8);
-                target.snap(w);
-                w.u32(*target_token);
-            }
-        }
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => ObjData::Mutex {
-                locked: r.bool()?,
-                waiters: Snap::restore(r)?,
-            },
-            1 => ObjData::Cond {
-                waiters: Snap::restore(r)?,
-            },
-            2 => ObjData::Mapping {
-                space: Snap::restore(r)?,
-                base: r.u32()?,
-                size: r.u32()?,
-                region: Snap::restore(r)?,
-                offset: r.u32()?,
-                region_token: r.u32()?,
-                writable: r.bool()?,
-            },
-            3 => ObjData::Region {
-                owner: Snap::restore(r)?,
-                base: r.u32()?,
-                size: r.u32()?,
-                keeper: Snap::restore(r)?,
-                keeper_token: r.u32()?,
-                self_token: r.u32()?,
-            },
-            4 => ObjData::Port {
-                pset: Snap::restore(r)?,
-                pset_token: r.u32()?,
-                connect_q: Snap::restore(r)?,
-                server_q: Snap::restore(r)?,
-                oneway_senders: Snap::restore(r)?,
-                oneway_receivers: Snap::restore(r)?,
-                buffered: Snap::restore(r)?,
-            },
-            5 => ObjData::Pset {
-                members: Snap::restore(r)?,
-                server_q: Snap::restore(r)?,
-            },
-            6 => ObjData::Space(Snap::restore(r)?),
-            7 => ObjData::Thread(Snap::restore(r)?),
-            8 => ObjData::Ref {
-                target: Snap::restore(r)?,
-                target_token: r.u32()?,
-            },
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "ObjData",
-                    tag: t as u32,
-                })
-            }
-        })
+snap_codec! {
+    enum ObjData as "ObjData" {
+        0 => Mutex { locked, waiters },
+        1 => Cond { waiters },
+        2 => Mapping { space, base, size, region, offset, region_token, writable },
+        3 => Region { owner, base, size, keeper, keeper_token, self_token },
+        4 => Port {
+            pset,
+            pset_token,
+            connect_q,
+            server_q,
+            oneway_senders,
+            oneway_receivers,
+            buffered
+        },
+        5 => Pset { members, server_q },
+        6 => Space(s),
+        7 => Thread(t),
+        8 => Ref { target, target_token },
     }
 }
 
-impl Snap for Object {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.loc.snap(w);
-        self.data.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Object {
-            loc: Snap::restore(r)?,
-            data: Snap::restore(r)?,
-        })
-    }
+snap_codec! {
+    struct Object { loc, data }
 }
 
 // The by-location index is derived state, rebuilt on restore so the

@@ -296,19 +296,10 @@ impl Space {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_codec, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Pte {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.frame);
-        w.bool(self.writable);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Pte {
-            frame: r.u32()?,
-            writable: r.bool()?,
-        })
-    }
+snap_codec! {
+    struct Pte { frame, writable }
 }
 
 // The prefix-max vector is derived and rebuilt on restore, not stored.
@@ -328,32 +319,18 @@ impl Snap for MapIndex {
     }
 }
 
-impl Snap for Space {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.id.snap(w);
-        self.obj.snap(w);
-        self.pages.snap(w);
-        self.tlb.snap(w);
-        self.mappings.snap(w);
-        self.map_index.snap(w);
-        self.regions.snap(w);
-        self.threads.snap(w);
-        self.idle_waiters.snap(w);
-        w.bool(self.kernel_alias);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Space {
-            id: Snap::restore(r)?,
-            obj: Snap::restore(r)?,
-            pages: Snap::restore(r)?,
-            tlb: Snap::restore(r)?,
-            mappings: Snap::restore(r)?,
-            map_index: Snap::restore(r)?,
-            regions: Snap::restore(r)?,
-            threads: Snap::restore(r)?,
-            idle_waiters: Snap::restore(r)?,
-            kernel_alias: r.bool()?,
-        })
+snap_codec! {
+    struct Space {
+        id,
+        obj,
+        pages,
+        tlb,
+        mappings,
+        map_index,
+        regions,
+        threads,
+        idle_waiters,
+        kernel_alias,
     }
 }
 

@@ -230,34 +230,18 @@ impl<T: Copy + Eq + Hash> WaitQueue<T> {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_codec, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for WaitqStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        for v in [
-            self.enqueues,
-            self.requeues,
-            self.wakes,
-            self.wake_alls,
-            self.cancels,
-            self.cancels_linear,
-            self.tombstones_skipped,
-            self.compactions,
-        ] {
-            w.u64(v);
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(WaitqStats {
-            enqueues: r.u64()?,
-            requeues: r.u64()?,
-            wakes: r.u64()?,
-            wake_alls: r.u64()?,
-            cancels: r.u64()?,
-            cancels_linear: r.u64()?,
-            tombstones_skipped: r.u64()?,
-            compactions: r.u64()?,
-        })
+snap_codec! {
+    struct WaitqStats {
+        enqueues,
+        requeues,
+        wakes,
+        wake_alls,
+        cancels,
+        cancels_linear,
+        tombstones_skipped,
+        compactions,
     }
 }
 
