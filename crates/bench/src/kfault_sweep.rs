@@ -17,39 +17,19 @@
 //! Any divergence is already minimal: a single (workload, config, kind,
 //! site) tuple reproduces it deterministically.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fluke_api::abi::{ARG_COUNT, ARG_HANDLE, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ErrorCode, ObjType, Sys};
 use fluke_arch::{Assembler, Cond, Reg, UserRegs};
+use fluke_core::krec::fnv64;
+use fluke_core::oracle::{self, Outcome};
 use fluke_core::{
-    Config, Kernel, KfaultConfig, KfaultKind, RunExit, RunState, SpaceId, ThreadId, UserVisible,
-    WaitReason,
+    Config, Kernel, KfaultConfig, KfaultKind, RunExit, RunState, SpaceId, ThreadId, WaitReason,
 };
 use fluke_user::checkpoint::{checkpoint_space, identity_window, restore_space, SyscallAgent};
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
-
-/// Everything a user program can observe of a finished run (the same
-/// oracle the differential fuzzer uses).
-#[derive(Debug, PartialEq, Eq)]
-pub struct Outcome {
-    /// Per-thread user-visible event sequences (syscall results, marks,
-    /// halts).
-    pub uv: BTreeMap<ThreadId, Vec<UserVisible>>,
-    /// (final `eax`, final `edi`) per main thread.
-    pub regs: Vec<(u32, u32)>,
-    /// FNV-64 digest over the workload's result memory.
-    pub mem: u64,
-}
-
-fn fnv(acc: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *acc ^= b as u64;
-        *acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 /// Checksum `words` 32-bit words at `base` into `edi`.
 fn emit_checksum(a: &mut Assembler, base: u32, words: u32, label: &str) {
@@ -63,31 +43,15 @@ fn emit_checksum(a: &mut Assembler, base: u32, words: u32, label: &str) {
     a.jcc(Cond::Ne, label);
 }
 
-/// Project the outcome of a finished run: user-visible trace, main-thread
-/// registers, and a digest over `regions`.
+/// Project a finished run through the shared oracle: the user-visible
+/// trace, each main thread's final `eax` (result code) and `edi` (running
+/// checksum), and a digest over `regions`.
 pub(crate) fn outcome(
     k: &mut Kernel,
     mains: &[ThreadId],
     regions: &[(SpaceId, u32, u32)],
-    extra: &[u8],
 ) -> Result<Outcome, String> {
-    let mut mem = 0xcbf2_9ce4_8422_2325u64;
-    for &(s, base, len) in regions {
-        let bytes = k.try_read_mem(s, base, len).map_err(|e| e.to_string())?;
-        fnv(&mut mem, &bytes);
-    }
-    fnv(&mut mem, extra);
-    Ok(Outcome {
-        uv: k.trace.user_visible(),
-        regs: mains
-            .iter()
-            .map(|&t| {
-                let r = k.thread_regs(t);
-                (r.get(Reg::Eax), r.get(Reg::Edi))
-            })
-            .collect(),
-        mem,
-    })
+    oracle::capture(k, mains, &[Reg::Eax, Reg::Edi], regions).map_err(|e| e.to_string())
 }
 
 /// Read the armed engine's counters after a run.
@@ -236,7 +200,7 @@ fn run_echo(
         return Err(format!("echo hung under {}", cfg.label));
     }
     let regions = [(server.space, sbuf, LEN), (client.space, crbuf, LEN)];
-    let out = outcome(&mut k, &[st, ct], &regions, &[])?;
+    let out = outcome(&mut k, &[st, ct], &regions)?;
     let (sites, fired) = kfault_counters(&k);
     Ok((out, sites, fired, k))
 }
@@ -347,12 +311,9 @@ fn run_checkpoint(
         (child, CHILD_BASE + 0x1000, 0x100),
         (child2, CHILD_BASE + 0x1000, 0x100),
     ];
-    let out = outcome(
-        &mut k,
-        &[holder, blocker],
-        &regions,
-        image.to_json_string().as_bytes(),
-    )?;
+    let mut out = outcome(&mut k, &[holder, blocker], &regions)?;
+    // The checkpoint image the manager took is part of the result too.
+    out.mem = fnv64(out.mem, image.to_json_string().as_bytes());
     let (sites, fired) = kfault_counters(&k);
     Ok((out, sites, fired, k))
 }
@@ -420,40 +381,6 @@ impl SweepReport {
     }
 }
 
-/// Describe the first component in which `got` differs from `want`.
-pub(crate) fn diff_outcomes(want: &Outcome, got: &Outcome) -> String {
-    if want.mem != got.mem {
-        return format!(
-            "memory digest {:#018x} != golden {:#018x}",
-            got.mem, want.mem
-        );
-    }
-    if want.regs != got.regs {
-        return format!("final registers {:x?} != golden {:x?}", got.regs, want.regs);
-    }
-    if want.uv != got.uv {
-        for (t, w) in &want.uv {
-            match got.uv.get(t) {
-                None => return format!("thread {} missing from user-visible trace", t.0),
-                Some(g) if g != w => {
-                    let i = w.iter().zip(g.iter()).position(|(a, b)| a != b);
-                    return format!(
-                        "thread {} user-visible events diverge at index {:?} \
-                         (golden len {}, got len {})",
-                        t.0,
-                        i,
-                        w.len(),
-                        g.len()
-                    );
-                }
-                _ => {}
-            }
-        }
-        return "extra threads in user-visible trace".to_string();
-    }
-    "outcomes equal (spurious diff)".to_string()
-}
-
 /// Sweep one (workload, config, kind): enumerate the site space, perturb
 /// each chosen site, and compare every outcome to the golden run.
 /// `budget` bounds the number of perturbed runs; the chosen sites are
@@ -479,7 +406,7 @@ pub fn sweep(
     if bare != golden {
         return Err(format!(
             "count-only arming perturbed the outcome: {}",
-            diff_outcomes(&bare, &golden)
+            bare.diff(&golden)
         ));
     }
     let sites_run = budget.map_or(total, |b| total.min(b));
@@ -496,7 +423,7 @@ pub fn sweep(
                 if got != golden {
                     divergences.push(Divergence {
                         site,
-                        detail: diff_outcomes(&golden, &got),
+                        detail: golden.diff(&got),
                     });
                 }
             }

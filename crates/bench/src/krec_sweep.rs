@@ -27,12 +27,13 @@ use std::time::Instant;
 use fluke_api::abi::{ARG_COUNT, ARG_SBUF, ARG_VAL, PORT_BUF_MSGS, SUBMIT_OP_RECV};
 use fluke_api::{ObjType, Sys};
 use fluke_arch::{Assembler, Cond, Reg};
+use fluke_core::oracle::Outcome;
 use fluke_core::{trace_suffix_digest, Config, Kernel, KrecConfig, Replayer};
 use fluke_json::Json;
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
-use crate::kfault_sweep::{diff_outcomes, outcome, sweep_configs, Outcome, SweepWorkload};
+use crate::kfault_sweep::{outcome, sweep_configs, SweepWorkload};
 
 /// The workloads the snapshot sweep records and replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +144,7 @@ fn run_submit_ring(cfg: &Config) -> Result<(Outcome, Kernel), String> {
         return Err(format!("submit-ring workload hung under {}", cfg.label));
     }
     let regions = [(p.space, rbufs, n * LEN)];
-    let out = outcome(&mut k, &[pt, ct], &regions, &[])?;
+    let out = outcome(&mut k, &[pt, ct], &regions)?;
     Ok((out, k))
 }
 
@@ -278,7 +279,7 @@ pub fn sweep(w: KrecWorkload, cfg: &Config, stride: u64) -> Result<KrecReport, S
     if armed_out != bare_out {
         return Err(format!(
             "arming krec perturbed the outcome: {}",
-            diff_outcomes(&bare_out, &armed_out)
+            bare_out.diff(&armed_out)
         ));
     }
     let armed_digest = k.state_digest().map_err(|e| e.to_string())?;

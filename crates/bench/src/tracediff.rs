@@ -13,6 +13,7 @@
 //! halt ([`fluke_core::Tracer::user_visible`]).
 
 use fluke_api::SysClass;
+use fluke_core::krec::{fnv64, FNV_OFFSET};
 use fluke_core::{Config, Histogram, Kernel, RunExit, TraceEvent, UserVisible};
 use fluke_workloads::common::WorkloadRun;
 use fluke_workloads::{flukeperf, FlukeperfParams};
@@ -75,15 +76,7 @@ pub fn run_traced_flukeperf(cfg: Config, scale: Scale) -> Kernel {
 /// *adding* a field to an event (e.g. a derived annotation) does not
 /// silently invalidate blessed digests.
 pub fn trace_digest(k: &Kernel) -> (u64, u64) {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    let mut mix = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
     let merged = k.trace.merged();
     for rec in &merged {
         let tid = rec
@@ -113,7 +106,7 @@ pub fn trace_digest(k: &Kernel) -> (u64, u64) {
             | TraceEvent::Wake { .. }
             | TraceEvent::Halt { .. } => String::new(),
         };
-        mix(&format!(
+        let line = format!(
             "{} {} {} {} {} {}\n",
             rec.at,
             rec.cpu,
@@ -121,7 +114,8 @@ pub fn trace_digest(k: &Kernel) -> (u64, u64) {
             rec.event.name(),
             tid,
             payload
-        ));
+        );
+        h = fnv64(h, line.as_bytes());
     }
     (h, merged.len() as u64)
 }

@@ -39,9 +39,10 @@ use fluke_api::{ObjType, Sys, SYSCALLS, SYSCALL_COUNT};
 use fluke_arch::{Assembler, Program, Reg, UserRegs};
 
 use crate::config::Config;
-use crate::ids::ThreadId;
 use crate::kernel::Kernel;
-use crate::trace::{TraceEvent, UserVisible};
+use crate::krec::{fnv64, FNV_OFFSET};
+use crate::oracle::{self, Outcome};
+use crate::trace::TraceEvent;
 
 // ---------------------------------------------------------------------------
 // Process-wide campaign counters (kstat: `kernel.fuzz.*`)
@@ -279,7 +280,7 @@ impl FuzzProgram {
     pub fn hash(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for op in &self.ops {
-            h = fnv1a(h, &[op.sys, op.h, op.c, op.v, op.b]);
+            h = fnv64(h, &[op.sys, op.h, op.c, op.v, op.b]);
         }
         h
     }
@@ -425,25 +426,11 @@ pub fn mutate(rng: &mut Rng, prog: &mut FuzzProgram, ops: &[Sys]) {
 // Execution harness
 // ---------------------------------------------------------------------------
 
-/// The user-visible outcome of one program under one configuration —
-/// the quantity the differential oracle compares across configurations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outcome {
-    /// Per-thread user-visible trace projection (result codes, marks,
-    /// halts).
-    pub uv: BTreeMap<ThreadId, Vec<UserVisible>>,
-    /// The fuzz thread's final `eax` and argument registers.
-    pub regs: [u32; 6],
-    /// Whether the thread ran to its halt.
-    pub halted: bool,
-    /// FNV-64 checksum over both memory windows.
-    pub mem: u64,
-}
-
 /// The result of executing one program under one configuration.
 #[derive(Debug, Clone)]
 pub struct Exec {
-    /// The differential outcome.
+    /// The differential outcome: the fuzz thread's final `eax` and
+    /// argument registers, and a checksum over both memory windows.
     pub outcome: Outcome,
     /// Coverage signatures lit up by the run (salted by config label).
     pub sigs: BTreeSet<u64>,
@@ -451,27 +438,17 @@ pub struct Exec {
     pub violations: Vec<String>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a digest of a text blob (stable across hosts; the bench report
 /// uses it to fingerprint the committed corpus).
 pub fn text_digest(text: &str) -> u64 {
-    fnv1a(FNV_OFFSET, text.as_bytes())
+    fnv64(FNV_OFFSET, text.as_bytes())
 }
 
 fn sig(salt: u64, parts: &[&[u8]]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &salt.to_le_bytes());
+    let mut h = fnv64(FNV_OFFSET, &salt.to_le_bytes());
     for p in parts {
-        h = fnv1a(h, p);
-        h = fnv1a(h, &[0xff]);
+        h = fnv64(h, p);
+        h = fnv64(h, &[0xff]);
     }
     h
 }
@@ -525,30 +502,18 @@ pub fn run_program(cfg: Config, prog: &FuzzProgram) -> Exec {
     let t = k.spawn_thread(space, pid, UserRegs::new(), 8);
     let deadline = k.now() + RUN_BUDGET;
     let _ = k.run(Some(deadline));
-    let halted = k.thread_halted(t);
+    let outcome = oracle::capture(
+        &mut k,
+        &[t],
+        &[Reg::Eax, ARG_HANDLE, ARG_COUNT, ARG_VAL, ARG_SBUF, ARG_RBUF],
+        &[
+            (space, FUZZ_MEM_BASE, FUZZ_MEM_LEN),
+            (space, FUZZ_TOP_BASE, 0x1000),
+        ],
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
 
-    let mut mem = FNV_OFFSET;
-    mem = fnv1a(mem, &k.read_mem(space, FUZZ_MEM_BASE, FUZZ_MEM_LEN));
-    mem = fnv1a(mem, &k.read_mem(space, FUZZ_TOP_BASE, 0x1000));
-    let regs = {
-        let r = k.thread_regs(t);
-        [
-            r.get(Reg::Eax),
-            r.get(ARG_HANDLE),
-            r.get(ARG_COUNT),
-            r.get(ARG_VAL),
-            r.get(ARG_SBUF),
-            r.get(ARG_RBUF),
-        ]
-    };
-    let outcome = Outcome {
-        uv: k.trace.user_visible(),
-        regs,
-        halted,
-        mem,
-    };
-
-    let salt = fnv1a(FNV_OFFSET, label.as_bytes());
+    let salt = fnv64(FNV_OFFSET, label.as_bytes());
     let mut sigs = BTreeSet::new();
 
     // (a) kstat counter magnitudes, log2-bucketed. Process-wide
@@ -759,7 +724,7 @@ pub fn judge(tier: Tier, prog: &FuzzProgram) -> (BTreeSet<u64>, Vec<Finding>) {
                     });
                 }
                 if tier == Tier::Differential {
-                    if !exec.outcome.halted {
+                    if !exec.outcome.halted() {
                         findings.push(Finding {
                             kind: FindingKind::Hang {
                                 config: label.to_string(),

@@ -39,6 +39,7 @@ pub mod krec;
 pub mod kspan;
 pub mod kstat;
 pub mod object;
+pub mod oracle;
 pub mod phys;
 pub mod sched;
 pub mod space;

@@ -20,13 +20,14 @@
 //! any divergence is a kernel bug — in dispatch, blocking, restart
 //! continuations, or the IPC pump — not an artifact of preemption
 //! timing. Case count scales with `FLUKE_FUZZ_CASES` (default 64).
-
-use std::collections::BTreeMap;
+//! The outcome is [`fluke_core::oracle::Outcome`], the oracle the kfault
+//! and krec sweeps and kfuzz share.
 
 use fluke_api::abi::{ARG_COUNT, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ObjType, Sys};
 use fluke_arch::{Assembler, Cond, Reg};
-use fluke_core::{Config, Kernel, ThreadId, UserVisible};
+use fluke_core::oracle::{capture, Outcome};
+use fluke_core::{Config, Kernel};
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
@@ -169,24 +170,6 @@ fn emit_checksum(a: &mut Assembler, base: u32, words: u32, label: &str) {
     a.jcc(Cond::Ne, label);
 }
 
-/// Everything a user program can observe of a finished run.
-#[derive(Debug, PartialEq, Eq)]
-struct Outcome {
-    /// Per-thread user-visible event sequences.
-    uv: BTreeMap<ThreadId, Vec<UserVisible>>,
-    /// (final `eax`, final `edi`) per main thread.
-    regs: Vec<(u32, u32)>,
-    /// FNV-64 over all touched memory regions.
-    mem: u64,
-}
-
-fn fnv(acc: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *acc ^= b as u64;
-        *acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Run one synthesized case under `cfg` and project the outcome.
 fn run_case(cfg: Config, case: &Case) -> Outcome {
     let label = cfg.label;
@@ -313,38 +296,29 @@ fn run_case(cfg: Config, case: &Case) -> Outcome {
         "case hung under {label}"
     );
 
-    let mut mem = 0xcbf2_9ce4_8422_2325u64;
-    fnv(&mut mem, &k.read_mem(server.space, sbuf, case.len));
-    fnv(&mut mem, &k.read_mem(client.space, crbuf, case.len));
-    fnv(
-        &mut mem,
-        &k.read_mem(client.space, client.mem_base + 0x3000, 0x400),
-    );
-    fnv(
-        &mut mem,
-        &k.read_mem(worker.space, worker.mem_base + 0x3000, 0x400),
-    );
-    let drained: u32 = case.submit_lens.iter().sum();
-    fnv(&mut mem, &k.read_mem(submit.space, ring, n_ops * 16));
-    fnv(&mut mem, &k.read_mem(submit.space, s_dst, drained));
-
     assert!(
         k.flowcheck.violations.is_empty(),
         "flow-graph violations under {label}: {:?}",
         k.flowcheck.violations
     );
 
-    Outcome {
-        uv: k.trace.user_visible(),
-        regs: [st, ct, wt, bt, dt]
-            .iter()
-            .map(|&t| {
-                let r = k.thread_regs(t);
-                (r.get(Reg::Eax), r.get(Reg::Edi))
-            })
-            .collect(),
-        mem,
-    }
+    let drained: u32 = case.submit_lens.iter().sum();
+    let regions = [
+        (server.space, sbuf, case.len),
+        (client.space, crbuf, case.len),
+        (client.space, client.mem_base + 0x3000, 0x400),
+        (worker.space, worker.mem_base + 0x3000, 0x400),
+        (submit.space, ring, n_ops * 16),
+        (submit.space, s_dst, drained),
+    ];
+    // (final `eax`, final `edi`): result code and running checksum.
+    capture(
+        &mut k,
+        &[st, ct, wt, bt, dt],
+        &[Reg::Eax, Reg::Edi],
+        &regions,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The four comparable configurations (Full preemption exists only in

@@ -51,7 +51,7 @@ fn run_all(prog: &FuzzProgram) -> Exec {
         .map(|cfg| run_program(cfg, prog))
         .collect();
     for e in &execs {
-        assert!(e.outcome.halted, "program failed to halt");
+        assert!(e.outcome.halted(), "program failed to halt");
         assert!(
             e.violations.is_empty(),
             "flow violations: {:?}",
