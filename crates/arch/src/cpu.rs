@@ -7,7 +7,7 @@
 
 use crate::cost::{CostModel, Cycles};
 use crate::isa::{Cond, Instr};
-use crate::mem::UserMem;
+use crate::mem::{MemFault, UserMem};
 use crate::program::Program;
 use crate::regs::{Reg, UserRegs, FLAG_LT, FLAG_ZF};
 use crate::trap::Trap;
@@ -49,294 +49,294 @@ impl Cpu {
     /// through a string instruction — `eip` still points at the instruction
     /// and the registers hold exact partial progress, so resolving the
     /// condition and re-running resumes correctly.
-    pub fn step(
+    pub fn step<M: UserMem + ?Sized>(
         &mut self,
         regs: &mut UserRegs,
         prog: &Program,
-        mem: &mut dyn UserMem,
+        mem: &mut M,
         cost: &CostModel,
     ) -> Option<Trap> {
-        let instr = match prog.fetch(regs.eip) {
-            Some(i) => i,
-            None => {
-                self.now += cost.user_instr;
-                return Some(Trap::Illegal);
-            }
-        };
-        match instr {
-            Instr::MovI(d, v) => {
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::Mov(d, s) => {
-                let v = regs.get(s);
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::Add(d, s) => {
-                let v = regs.get(d).wrapping_add(regs.get(s));
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::AddI(d, i) => {
-                let v = regs.get(d).wrapping_add(i);
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::Sub(d, s) => {
-                let v = regs.get(d).wrapping_sub(regs.get(s));
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::SubI(d, i) => {
-                let v = regs.get(d).wrapping_sub(i);
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::Mul(d, s) => {
-                let v = regs.get(d).wrapping_mul(regs.get(s));
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::Xor(d, s) => {
-                let v = regs.get(d) ^ regs.get(s);
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::AndI(d, i) => {
-                let v = regs.get(d) & i;
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::ShrI(d, i) => {
-                let v = regs.get(d) >> (i & 31);
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::ShlI(d, i) => {
-                let v = regs.get(d) << (i & 31);
-                regs.set(d, v);
-                self.retire(regs, cost)
-            }
-            Instr::Cmp(l, r) => {
-                let (l, r) = (regs.get(l), regs.get(r));
-                regs.set_flag(FLAG_ZF, l == r);
-                regs.set_flag(FLAG_LT, l < r);
-                self.retire(regs, cost)
-            }
-            Instr::CmpI(l, i) => {
-                let l = regs.get(l);
-                regs.set_flag(FLAG_ZF, l == i);
-                regs.set_flag(FLAG_LT, l < i);
-                self.retire(regs, cost)
-            }
-            Instr::Jmp(c, target) => {
-                let taken = match c {
-                    Cond::Always => true,
-                    Cond::Eq => regs.flag(FLAG_ZF),
-                    Cond::Ne => !regs.flag(FLAG_ZF),
-                    Cond::Lt => regs.flag(FLAG_LT),
-                    Cond::Ge => !regs.flag(FLAG_LT),
-                };
-                self.now += cost.user_instr;
-                if taken {
-                    regs.eip = target;
-                } else {
-                    regs.eip += 1;
-                }
-                None
-            }
-            Instr::Load(d, b, off) => {
-                let addr = regs.get(b).wrapping_add(off as u32);
-                self.now += cost.user_instr;
-                match mem.read_u32(addr) {
-                    Ok(v) => {
-                        regs.set(d, v);
-                        regs.eip += 1;
-                        None
-                    }
-                    Err(f) => Some(Trap::PageFault(f)),
-                }
-            }
-            Instr::Store(b, off, s) => {
-                let addr = regs.get(b).wrapping_add(off as u32);
-                self.now += cost.user_instr;
-                match mem.write_u32(addr, regs.get(s)) {
-                    Ok(()) => {
-                        regs.eip += 1;
-                        None
-                    }
-                    Err(f) => Some(Trap::PageFault(f)),
-                }
-            }
-            Instr::LoadB(d, b, off) => {
-                let addr = regs.get(b).wrapping_add(off as u32);
-                self.now += cost.user_instr;
-                match mem.read_u8(addr) {
-                    Ok(v) => {
-                        regs.set(d, v as u32);
-                        regs.eip += 1;
-                        None
-                    }
-                    Err(f) => Some(Trap::PageFault(f)),
-                }
-            }
-            Instr::StoreB(b, off, s) => {
-                let addr = regs.get(b).wrapping_add(off as u32);
-                self.now += cost.user_instr;
-                match mem.write_u8(addr, regs.get(s) as u8) {
-                    Ok(()) => {
-                        regs.eip += 1;
-                        None
-                    }
-                    Err(f) => Some(Trap::PageFault(f)),
-                }
-            }
-            Instr::Push(s) => {
-                let sp = regs.get(Reg::Esp).wrapping_sub(4);
-                self.now += cost.user_instr;
-                match mem.write_u32(sp, regs.get(s)) {
-                    Ok(()) => {
-                        regs.set(Reg::Esp, sp);
-                        regs.eip += 1;
-                        None
-                    }
-                    Err(f) => Some(Trap::PageFault(f)),
-                }
-            }
-            Instr::Pop(d) => {
-                let sp = regs.get(Reg::Esp);
-                self.now += cost.user_instr;
-                match mem.read_u32(sp) {
-                    Ok(v) => {
-                        regs.set(d, v);
-                        regs.set(Reg::Esp, sp.wrapping_add(4));
-                        regs.eip += 1;
-                        None
-                    }
-                    Err(f) => Some(Trap::PageFault(f)),
-                }
-            }
-            Instr::RepMovsB => {
-                // Bulk page-run copy, semantically identical to the old
-                // byte loop: cycles charged per completed byte, registers
-                // advanced by exactly the bytes completed, fault aborts
-                // with eip unchanged.
-                self.now += cost.user_instr;
-                let mut count = regs.get(Reg::Ecx);
-                let mut src = regs.get(Reg::Esi);
-                let mut dst = regs.get(Reg::Edi);
-                let mut remaining = count.min(REP_CHUNK);
-                let mut buf = [0u8; REP_CHUNK as usize];
-                while remaining > 0 {
-                    // A byte-wise ascending copy with dst inside
-                    // (src, src+n) replicates the source with period
-                    // d = dst - src; block copies of at most d bytes
-                    // reproduce that exactly. Backward/non-overlap needs
-                    // no clamp.
-                    let d = dst.wrapping_sub(src);
-                    let block = if d > 0 && d < remaining { d } else { remaining };
-                    let (rdone, rfault) = match mem.read_bytes(src, &mut buf[..block as usize]) {
-                        Ok(()) => (block, None),
-                        Err(e) => (e.done, Some(e.fault)),
-                    };
-                    // Bytes read before a read fault are still written —
-                    // byte-wise order writes byte j before reading byte
-                    // j+1. A write fault precedes the read fault, since
-                    // write j happens before read k for j < k.
-                    let (done, fault) = match mem.write_bytes(dst, &buf[..rdone as usize]) {
-                        Ok(()) => (rdone, rfault),
-                        Err(e) => (e.done, Some(e.fault)),
-                    };
-                    src = src.wrapping_add(done);
-                    dst = dst.wrapping_add(done);
-                    count -= done;
-                    remaining -= done;
-                    self.now += cost.user_string_byte_per * done as Cycles;
-                    if let Some(f) = fault {
-                        self.writeback_movs(regs, src, dst, count);
-                        return Some(Trap::PageFault(f));
-                    }
-                }
-                self.writeback_movs(regs, src, dst, count);
-                if count == 0 {
-                    regs.eip += 1;
-                }
-                None
-            }
-            Instr::RepStosB => {
-                self.now += cost.user_instr;
-                let val = regs.get(Reg::Eax) as u8;
-                let mut count = regs.get(Reg::Ecx);
-                let mut dst = regs.get(Reg::Edi);
-                let chunk = count.min(REP_CHUNK);
-                let buf = [val; REP_CHUNK as usize];
-                let (done, fault) = match mem.write_bytes(dst, &buf[..chunk as usize]) {
-                    Ok(()) => (chunk, None),
-                    Err(e) => (e.done, Some(e.fault)),
-                };
-                dst = dst.wrapping_add(done);
-                count -= done;
-                self.now += cost.user_string_byte_per * done as Cycles;
-                regs.set(Reg::Edi, dst);
-                regs.set(Reg::Ecx, count);
-                if let Some(f) = fault {
-                    return Some(Trap::PageFault(f));
-                }
-                if count == 0 {
-                    regs.eip += 1;
-                }
-                None
-            }
-            Instr::Syscall => {
-                // `eip` stays at the trap instruction; the kernel advances
-                // it on completion or leaves it for a restart.
-                self.now += cost.user_instr;
-                Some(Trap::Syscall)
-            }
-            Instr::Compute(n) => {
-                self.now += n as Cycles;
-                regs.eip += 1;
-                None
-            }
-            Instr::Halt => {
-                self.now += cost.user_instr;
-                Some(Trap::Halt)
-            }
-            Instr::Nop => self.retire(regs, cost),
-        }
+        exec(&mut self.now, &mut RegFile::of(regs), prog, mem, cost)
     }
 
-    /// Run user code until a trap or until the clock reaches `deadline`.
-    pub fn run_user(
+    /// Run user code until it traps or its clock passes `deadline`.
+    ///
+    /// The deadline is checked before each instruction, and an instruction
+    /// once started is charged in full. So the clock can pass `deadline` by
+    /// up to one instruction's charge: `n` for `Compute(n)`, and
+    /// `user_instr + REP_CHUNK * user_string_byte_per` for one string
+    /// chunk. On [`StepOutcome::DeadlineReached`] the clock is at least
+    /// `deadline` (unchanged if it already was on entry). A trap may also
+    /// end past `deadline` by its instruction's charge.
+    ///
+    /// The loop keeps the clock and the registers in locals and writes
+    /// both back to `self.now` and `*regs` on every exit, so each exit
+    /// leaves exactly the state of calling [`Cpu::step`] while the clock
+    /// is below `deadline`.
+    pub fn run_user<M: UserMem + ?Sized>(
         &mut self,
         regs: &mut UserRegs,
         prog: &Program,
-        mem: &mut dyn UserMem,
+        mem: &mut M,
         cost: &CostModel,
         deadline: Cycles,
     ) -> StepOutcome {
-        while self.now < deadline {
-            if let Some(trap) = self.step(regs, prog, mem, cost) {
-                return StepOutcome::Trapped(trap);
+        let mut now = self.now;
+        let (mut gpr, mut eip, mut eflags) = (regs.gpr, regs.eip, regs.eflags);
+        let out = loop {
+            if now >= deadline {
+                break StepOutcome::DeadlineReached;
             }
+            // A fresh view per instruction: no borrow of the locals lives
+            // across iterations, so `eip` and `eflags` stay in registers.
+            let mut r = RegFile {
+                gpr: &mut gpr,
+                eip: &mut eip,
+                eflags: &mut eflags,
+            };
+            if let Some(trap) = exec(&mut now, &mut r, prog, mem, cost) {
+                break StepOutcome::Trapped(trap);
+            }
+        };
+        self.now = now;
+        (regs.gpr, regs.eip, regs.eflags) = (gpr, eip, eflags);
+        out
+    }
+}
+
+/// The registers as [`exec`] sees them: [`UserRegs`] minus the
+/// pseudo-registers, which the CPU never touches, with `eip` and `eflags`
+/// held apart from the general registers. An array indexed by a run-time
+/// register number stays in memory; held apart, the other two can live in
+/// host registers across [`Cpu::run_user`]'s loop.
+struct RegFile<'a> {
+    gpr: &'a mut [u32; 8],
+    eip: &'a mut u32,
+    eflags: &'a mut u32,
+}
+
+impl<'a> RegFile<'a> {
+    #[inline(always)]
+    fn of(regs: &'a mut UserRegs) -> Self {
+        RegFile {
+            gpr: &mut regs.gpr,
+            eip: &mut regs.eip,
+            eflags: &mut regs.eflags,
         }
-        StepOutcome::DeadlineReached
     }
 
-    #[inline]
-    fn retire(&mut self, regs: &mut UserRegs, cost: &CostModel) -> Option<Trap> {
-        self.now += cost.user_instr;
-        regs.eip += 1;
+    #[inline(always)]
+    fn get(&self, r: Reg) -> u32 {
+        self.gpr[r.index()]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, r: Reg, v: u32) {
+        self.gpr[r.index()] = v;
+    }
+
+    #[inline(always)]
+    fn flag(&self, flag: u32) -> bool {
+        *self.eflags & flag != 0
+    }
+
+    #[inline(always)]
+    fn set_flag(&mut self, flag: u32, on: bool) {
+        if on {
+            *self.eflags |= flag;
+        } else {
+            *self.eflags &= !flag;
+        }
+    }
+}
+
+/// The ISA's semantics: execute the instruction at `eip` (one chunk of a
+/// string instruction), charging `now`. Both [`Cpu::step`] and
+/// [`Cpu::run_user`] go through here; inlining it into `run_user`'s loop
+/// lets the clock and registers live in locals across instructions.
+#[inline(always)]
+fn exec<M: UserMem + ?Sized>(
+    now: &mut Cycles,
+    regs: &mut RegFile<'_>,
+    prog: &Program,
+    mem: &mut M,
+    cost: &CostModel,
+) -> Option<Trap> {
+    let Some(instr) = prog.fetch(*regs.eip) else {
+        *now += cost.user_instr;
+        return Some(Trap::Illegal);
+    };
+    // Every instruction is charged before it touches memory; a fault
+    // leaves `eip` at the instruction.
+    *now += match instr {
+        Instr::Compute(n) => n as Cycles,
+        _ => cost.user_instr,
+    };
+    let alu = |regs: &mut RegFile<'_>, d: Reg, v: u32| {
+        regs.set(d, v);
+        *regs.eip += 1;
         None
+    };
+    let trap_on = |r: Result<(), MemFault>| match r {
+        Ok(()) => None,
+        Err(f) => Some(Trap::PageFault(f)),
+    };
+    match instr {
+        Instr::MovI(d, v) => alu(regs, d, v),
+        Instr::Mov(d, s) => alu(regs, d, regs.get(s)),
+        Instr::Add(d, s) => alu(regs, d, regs.get(d).wrapping_add(regs.get(s))),
+        Instr::AddI(d, i) => alu(regs, d, regs.get(d).wrapping_add(i)),
+        Instr::Sub(d, s) => alu(regs, d, regs.get(d).wrapping_sub(regs.get(s))),
+        Instr::SubI(d, i) => alu(regs, d, regs.get(d).wrapping_sub(i)),
+        Instr::Mul(d, s) => alu(regs, d, regs.get(d).wrapping_mul(regs.get(s))),
+        Instr::Xor(d, s) => alu(regs, d, regs.get(d) ^ regs.get(s)),
+        Instr::AndI(d, i) => alu(regs, d, regs.get(d) & i),
+        Instr::ShrI(d, i) => alu(regs, d, regs.get(d) >> (i & 31)),
+        Instr::ShlI(d, i) => alu(regs, d, regs.get(d) << (i & 31)),
+        Instr::Cmp(l, r) => compare(regs, regs.get(l), regs.get(r)),
+        Instr::CmpI(l, i) => compare(regs, regs.get(l), i),
+        Instr::Jmp(c, target) => {
+            let taken = match c {
+                Cond::Always => true,
+                Cond::Eq => regs.flag(FLAG_ZF),
+                Cond::Ne => !regs.flag(FLAG_ZF),
+                Cond::Lt => regs.flag(FLAG_LT),
+                Cond::Ge => !regs.flag(FLAG_LT),
+            };
+            *regs.eip = if taken { target } else { *regs.eip + 1 };
+            None
+        }
+        Instr::Load(d, b, off) => {
+            let addr = regs.get(b).wrapping_add(off as u32);
+            trap_on(mem.read_u32(addr).map(|v| {
+                regs.set(d, v);
+                *regs.eip += 1;
+            }))
+        }
+        Instr::Store(b, off, s) => {
+            let addr = regs.get(b).wrapping_add(off as u32);
+            trap_on(mem.write_u32(addr, regs.get(s)).map(|()| *regs.eip += 1))
+        }
+        Instr::LoadB(d, b, off) => {
+            let addr = regs.get(b).wrapping_add(off as u32);
+            trap_on(mem.read_u8(addr).map(|v| {
+                regs.set(d, v as u32);
+                *regs.eip += 1;
+            }))
+        }
+        Instr::StoreB(b, off, s) => {
+            let addr = regs.get(b).wrapping_add(off as u32);
+            trap_on(
+                mem.write_u8(addr, regs.get(s) as u8)
+                    .map(|()| *regs.eip += 1),
+            )
+        }
+        Instr::Push(s) => {
+            let sp = regs.get(Reg::Esp).wrapping_sub(4);
+            trap_on(mem.write_u32(sp, regs.get(s)).map(|()| {
+                regs.set(Reg::Esp, sp);
+                *regs.eip += 1;
+            }))
+        }
+        Instr::Pop(d) => {
+            let sp = regs.get(Reg::Esp);
+            trap_on(mem.read_u32(sp).map(|v| {
+                regs.set(d, v);
+                regs.set(Reg::Esp, sp.wrapping_add(4));
+                *regs.eip += 1;
+            }))
+        }
+        Instr::RepMovsB => {
+            // Bulk page-run copy, semantically identical to the old byte
+            // loop: cycles charged per completed byte, registers advanced
+            // by exactly the bytes completed, fault aborts with eip
+            // unchanged.
+            let mut count = regs.get(Reg::Ecx);
+            let mut src = regs.get(Reg::Esi);
+            let mut dst = regs.get(Reg::Edi);
+            let mut remaining = count.min(REP_CHUNK);
+            let mut buf = [0u8; REP_CHUNK as usize];
+            let mut fault = None;
+            while remaining > 0 && fault.is_none() {
+                // A byte-wise ascending copy with dst inside (src, src+n)
+                // replicates the source with period d = dst - src; block
+                // copies of at most d bytes reproduce that exactly.
+                // Backward/non-overlap needs no clamp.
+                let d = dst.wrapping_sub(src);
+                let block = if d > 0 && d < remaining { d } else { remaining };
+                let (rdone, rfault) = match mem.read_bytes(src, &mut buf[..block as usize]) {
+                    Ok(()) => (block, None),
+                    Err(e) => (e.done, Some(e.fault)),
+                };
+                // Bytes read before a read fault are still written —
+                // byte-wise order writes byte j before reading byte j+1.
+                // A write fault precedes the read fault, since write j
+                // happens before read k for j < k.
+                let done;
+                (done, fault) = match mem.write_bytes(dst, &buf[..rdone as usize]) {
+                    Ok(()) => (rdone, rfault),
+                    Err(e) => (e.done, Some(e.fault)),
+                };
+                src = src.wrapping_add(done);
+                dst = dst.wrapping_add(done);
+                count -= done;
+                remaining -= done;
+                *now += cost.user_string_byte_per * done as Cycles;
+            }
+            regs.set(Reg::Esi, src);
+            string_end(regs, dst, count, fault)
+        }
+        Instr::RepStosB => {
+            let val = regs.get(Reg::Eax) as u8;
+            let count = regs.get(Reg::Ecx);
+            let dst = regs.get(Reg::Edi);
+            let chunk = count.min(REP_CHUNK);
+            let buf = [val; REP_CHUNK as usize];
+            let (done, fault) = match mem.write_bytes(dst, &buf[..chunk as usize]) {
+                Ok(()) => (chunk, None),
+                Err(e) => (e.done, Some(e.fault)),
+            };
+            *now += cost.user_string_byte_per * done as Cycles;
+            string_end(regs, dst.wrapping_add(done), count - done, fault)
+        }
+        // `eip` stays at the trap instruction; the kernel advances it on
+        // completion or leaves it for a restart.
+        Instr::Syscall => Some(Trap::Syscall),
+        Instr::Halt => Some(Trap::Halt),
+        Instr::Compute(_) | Instr::Nop => {
+            *regs.eip += 1;
+            None
+        }
     }
+}
 
-    #[inline]
-    fn writeback_movs(&self, regs: &mut UserRegs, src: u32, dst: u32, count: u32) {
-        regs.set(Reg::Esi, src);
-        regs.set(Reg::Edi, dst);
-        regs.set(Reg::Ecx, count);
+/// Set `ZF`/`LT` from an unsigned comparison and retire.
+#[inline(always)]
+fn compare(regs: &mut RegFile<'_>, l: u32, r: u32) -> Option<Trap> {
+    regs.set_flag(FLAG_ZF, l == r);
+    regs.set_flag(FLAG_LT, l < r);
+    *regs.eip += 1;
+    None
+}
+
+/// Commit a string chunk's `edi`/`ecx` progress; retire once the count
+/// reaches zero, unless the chunk faulted.
+#[inline(always)]
+fn string_end(
+    regs: &mut RegFile<'_>,
+    dst: u32,
+    count: u32,
+    fault: Option<MemFault>,
+) -> Option<Trap> {
+    regs.set(Reg::Edi, dst);
+    regs.set(Reg::Ecx, count);
+    if let Some(f) = fault {
+        return Some(Trap::PageFault(f));
     }
+    if count == 0 {
+        *regs.eip += 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -725,18 +725,131 @@ mod tests {
         }
     }
 
+    /// Run `p` to `run_user`'s first exit over a fresh `mem_size`-byte
+    /// memory, starting from registers whose flags and pseudo-registers
+    /// are set. Checks that the written-back clock, registers and memory
+    /// equal [`Cpu::step`] run while the clock is below `deadline`.
+    fn first_exit(
+        p: &Program,
+        mem_size: usize,
+        deadline: Cycles,
+    ) -> (StepOutcome, Cycles, UserRegs) {
+        let cost = CostModel::default();
+        let mut start = UserRegs::new();
+        start.eflags = FLAG_LT;
+        start.pr = [0xdead, 0xbeef];
+        let (mut cpu, mut regs, mut mem) = (Cpu::new(0), start, FlatMem::new(mem_size));
+        let out = cpu.run_user(&mut regs, p, &mut mem, &cost, deadline);
+        let (mut rcpu, mut rregs, mut rmem) = (Cpu::new(0), start, FlatMem::new(mem_size));
+        let rout = loop {
+            if rcpu.now >= deadline {
+                break StepOutcome::DeadlineReached;
+            }
+            if let Some(t) = rcpu.step(&mut rregs, p, &mut rmem, &cost) {
+                break StepOutcome::Trapped(t);
+            }
+        };
+        assert_eq!((out, cpu.now, regs), (rout, rcpu.now, rregs));
+        assert_eq!(mem.bytes(), rmem.bytes());
+        assert_eq!(regs.pr, start.pr);
+        (out, cpu.now, regs)
+    }
+
     #[test]
     fn run_user_honors_deadline() {
-        let mut a = Assembler::new("spin");
+        let mut a = Assembler::new("count");
         a.label("top");
-        a.jmp("top");
+        a.addi(Reg::Ebx, 1);
+        a.cmpi(Reg::Ebx, 0);
+        a.jcc(Cond::Ne, "top");
         let p = a.finish();
-        let mut mem = FlatMem::new(0);
-        let mut cpu = Cpu::new(0);
-        let mut regs = UserRegs::new();
-        let cost = CostModel::default();
-        let out = cpu.run_user(&mut regs, &p, &mut mem, &cost, 1000);
+        let (out, now, regs) = first_exit(&p, 0, 1001);
         assert_eq!(out, StepOutcome::DeadlineReached);
-        assert!(cpu.now >= 1000);
+        // 2 cycles per instruction: 501 instructions start below 1001,
+        // the last a taken branch. The compare cleared the entry LT flag.
+        assert_eq!(now, 1002);
+        assert_eq!((regs.get(Reg::Ebx), regs.eip, regs.eflags), (167, 0, 0));
+    }
+
+    #[test]
+    fn run_user_overshoots_deadline_by_one_charge() {
+        let mut a = Assembler::new("long");
+        a.compute(5000);
+        a.halt();
+        let p = a.finish();
+        let (out, now, regs) = first_exit(&p, 0, 10);
+        assert_eq!(out, StepOutcome::DeadlineReached);
+        assert_eq!((now, regs.eip), (5000, 1));
+        // A deadline already reached runs nothing.
+        let mut cpu = Cpu::new(0);
+        cpu.now = 50;
+        let mut regs = UserRegs::new();
+        let out = cpu.run_user(
+            &mut regs,
+            &p,
+            &mut FlatMem::new(0),
+            &CostModel::default(),
+            10,
+        );
+        assert_eq!(
+            (out, cpu.now, regs),
+            (StepOutcome::DeadlineReached, 50, UserRegs::new())
+        );
+    }
+
+    #[test]
+    fn run_user_writes_back_partial_string_progress_on_fault() {
+        // Two full chunks copy; the third faults at the end of memory
+        // after 928 bytes.
+        let mut a = Assembler::new("copyfault");
+        a.movi(Reg::Esi, 0);
+        a.movi(Reg::Edi, 2048);
+        a.movi(Reg::Ecx, 3000);
+        a.emit(Instr::RepMovsB);
+        a.halt();
+        let p = a.finish();
+        let (out, now, regs) = first_exit(&p, 4000, Cycles::MAX);
+        let fault = MemFault {
+            addr: 4000,
+            kind: crate::mem::AccessKind::Write,
+        };
+        assert_eq!(out, StepOutcome::Trapped(Trap::PageFault(fault)));
+        assert_eq!(regs.get(Reg::Esi), 1952);
+        assert_eq!(regs.get(Reg::Edi), 4000);
+        assert_eq!(regs.get(Reg::Ecx), 1048);
+        assert_eq!(regs.eip, 3, "eip still at the string instruction");
+        assert_eq!(now, 3 * 2 + 2 * 2 + 1952);
+    }
+
+    #[test]
+    fn run_user_writes_back_at_syscall() {
+        let mut a = Assembler::new("sys");
+        a.movi(Reg::Eax, 42);
+        a.syscall();
+        a.halt();
+        let p = a.finish();
+        let (out, now, regs) = first_exit(&p, 0, Cycles::MAX);
+        assert_eq!(out, StepOutcome::Trapped(Trap::Syscall));
+        assert_eq!((now, regs.eip, regs.get(Reg::Eax)), (4, 1, 42));
+    }
+
+    #[test]
+    fn run_user_writes_back_at_halt() {
+        let mut a = Assembler::new("halt");
+        a.movi(Reg::Edx, 7);
+        a.compute(100);
+        a.halt();
+        let p = a.finish();
+        let (out, now, regs) = first_exit(&p, 0, Cycles::MAX);
+        assert_eq!(out, StepOutcome::Trapped(Trap::Halt));
+        assert_eq!((now, regs.eip, regs.get(Reg::Edx)), (104, 2, 7));
+    }
+
+    #[test]
+    fn run_user_writes_back_when_running_off_the_end() {
+        let p = Program::new("short", vec![Instr::MovI(Reg::Esi, 9), Instr::Nop]);
+        let (out, now, regs) = first_exit(&p, 0, Cycles::MAX);
+        assert_eq!(out, StepOutcome::Trapped(Trap::Illegal));
+        assert_eq!((now, regs.eip, regs.get(Reg::Esi)), (6, 2, 9));
     }
 }

@@ -572,6 +572,7 @@ impl SpaceMemAdapter<'_> {
 }
 
 impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
+    #[inline]
     fn read_u8(&mut self, addr: u32) -> Result<u8, fluke_arch::MemFault> {
         match self.translate(addr, false) {
             Some((f, off)) => Ok(self.phys.read_u8(f, off)),
@@ -582,6 +583,7 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
         }
     }
 
+    #[inline]
     fn write_u8(&mut self, addr: u32, val: u8) -> Result<(), fluke_arch::MemFault> {
         match self.translate(addr, true) {
             Some((f, off)) => {
@@ -595,12 +597,14 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
         }
     }
 
+    #[inline]
     fn read_u32(&mut self, addr: u32) -> Result<u32, fluke_arch::MemFault> {
         let mut b = [0u8; 4];
         self.read_bytes(addr, &mut b).map_err(|e| e.fault)?;
         Ok(u32::from_le_bytes(b))
     }
 
+    #[inline]
     fn write_u32(&mut self, addr: u32, val: u32) -> Result<(), fluke_arch::MemFault> {
         // Bulk write keeps the byte-loop contract: bytes before the fault
         // are committed.
