@@ -12,6 +12,9 @@
 //! codes of its completed system calls, its `sys_trace` marks, and its
 //! halt ([`fluke_core::Tracer::user_visible`]).
 
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+
 use fluke_api::SysClass;
 use fluke_core::krec::{fnv64, FNV_OFFSET};
 use fluke_core::{Config, Histogram, Kernel, RunExit, TraceEvent, UserVisible};
@@ -61,6 +64,63 @@ pub fn run_traced_flukeperf(cfg: Config, scale: Scale) -> Kernel {
     };
     let run = flukeperf::build(cfg.with_tracing(DIFF_RING_CAPACITY), &params);
     run_keep_kernel(run, 8_000_000_000)
+}
+
+/// The configurations pinned by `tests/golden/ktrace_digests.txt`, each
+/// with its golden label: the four uniprocessor NP/PP rows, plus
+/// multiprocessor rows that exercise fine-grained lock waits, idle
+/// parking and TLB shootdown (Process PP on 4 CPUs), the big-lock oracle
+/// (the same with `with_big_lock(true)`), and the full-preemption
+/// surcharge across CPUs (Process FP on 2 CPUs).
+pub fn golden_configs() -> Vec<(String, Config)> {
+    let mut out: Vec<(String, Config)> = [
+        Config::process_np(),
+        Config::process_pp(),
+        Config::interrupt_np(),
+        Config::interrupt_pp(),
+    ]
+    .into_iter()
+    .map(|c| (c.label.replace(' ', "_"), c))
+    .collect();
+    out.push(("Process_PP_4cpu".into(), Config::process_pp().with_cpus(4)));
+    out.push((
+        "Process_PP_4cpu_biglock".into(),
+        Config::process_pp().with_cpus(4).with_big_lock(true),
+    ));
+    out.push(("Process_FP_2cpu".into(), Config::process_fp().with_cpus(2)));
+    out
+}
+
+/// Path of the blessed raw-ktrace digest file.
+pub fn golden_digest_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("ktrace_digests.txt")
+}
+
+/// The blessed digests, label → (FNV-1a hash, record count).
+///
+/// # Panics
+///
+/// Panics if the golden file is missing or malformed.
+pub fn golden_digests() -> BTreeMap<String, (u64, u64)> {
+    let text = std::fs::read_to_string(golden_digest_path())
+        .expect("golden file missing; bless via the ktrace_golden test");
+    let mut out = BTreeMap::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let label = it.next().expect("label").to_string();
+        let hash = u64::from_str_radix(it.next().expect("hash").trim_start_matches("0x"), 16)
+            .expect("hex hash");
+        let count: u64 = it.next().expect("count").parse().expect("record count");
+        out.insert(label, (hash, count));
+    }
+    out
 }
 
 /// A canonical digest of a kernel's *raw* merged trace: FNV-1a over one

@@ -13,43 +13,13 @@
 //! instruction-boundary hook (shared by `Timer` and `PageFlush`), and
 //! [`KfaultKind::Transient`] exercises the syscall-dispatch hook.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-use fluke_bench::tracediff::{run_traced_flukeperf, trace_digest};
+use fluke_bench::tracediff::{golden_digests, run_traced_flukeperf, trace_digest};
 use fluke_bench::Scale;
 use fluke_core::{Config, KfaultConfig, KfaultKind};
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("ktrace_digests.txt")
-}
-
-fn parse_golden(text: &str) -> BTreeMap<String, (u64, u64)> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let label = it.next().expect("label").to_string();
-        let hash = u64::from_str_radix(it.next().expect("hash").trim_start_matches("0x"), 16)
-            .expect("hex hash");
-        let count: u64 = it.next().expect("count").parse().expect("record count");
-        out.insert(label, (hash, count));
-    }
-    out
-}
-
 #[test]
 fn count_only_armed_runs_match_unarmed_golden_digests() {
-    let golden = parse_golden(
-        &std::fs::read_to_string(golden_path())
-            .expect("golden file missing; bless via the ktrace_golden test"),
-    );
+    let golden = golden_digests();
     for cfg in [
         Config::process_np(),
         Config::process_pp(),

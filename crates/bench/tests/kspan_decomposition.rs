@@ -1,18 +1,20 @@
 //! The acceptance-criteria invariant for `kspan` critical-path analysis:
 //! for **every** completed request in the IPC-echo and checkpoint/restore
-//! workloads, under all four comparable configurations, the five-bucket
-//! decomposition (on-CPU + runnable-wait + blocked-on-IPC + lock-wait +
-//! blocked-other) sums *exactly* to the request's end-to-end simulated
-//! cycles — no cycle unattributed, none double-counted — mirroring
-//! kprof's sum-to-total contract one level up.
+//! workloads, under the four comparable uniprocessor configurations and
+//! the multiprocessor golden rows (fine-grained, big lock, FP), the
+//! five-bucket decomposition (on-CPU + runnable-wait + blocked-on-IPC +
+//! lock-wait + blocked-other) sums *exactly* to the request's end-to-end
+//! simulated cycles — no cycle unattributed, none double-counted —
+//! mirroring kprof's sum-to-total contract one level up.
 
 use fluke_bench::kfault_sweep::{sweep_configs, SweepWorkload};
+use fluke_bench::tracediff::golden_configs;
 
 #[test]
 fn every_request_decomposes_exactly_to_e2e() {
     for w in [SweepWorkload::IpcEcho, SweepWorkload::Checkpoint] {
-        for cfg in sweep_configs() {
-            let label = format!("{} under {}", w.label(), cfg.label);
+        for (name, cfg) in golden_configs() {
+            let label = format!("{} under {name}", w.label());
             let (_, _, _, k) = w
                 .run_kernel(&cfg.with_kspan(), None)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));

@@ -8,50 +8,13 @@
 //! digests. A kspan hook that ever charged a cycle, reordered a wake, or
 //! perturbed a scheduling decision fails at the first shifted timestamp.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-use fluke_bench::tracediff::{run_traced_flukeperf, trace_digest};
+use fluke_bench::tracediff::{golden_configs, golden_digests, run_traced_flukeperf, trace_digest};
 use fluke_bench::Scale;
-use fluke_core::Config;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("ktrace_digests.txt")
-}
-
-fn parse_golden(text: &str) -> BTreeMap<String, (u64, u64)> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let label = it.next().expect("label").to_string();
-        let hash = u64::from_str_radix(it.next().expect("hash").trim_start_matches("0x"), 16)
-            .expect("hex hash");
-        let count: u64 = it.next().expect("count").parse().expect("record count");
-        out.insert(label, (hash, count));
-    }
-    out
-}
 
 #[test]
 fn kspan_runs_match_uninstrumented_golden_digests() {
-    let golden = parse_golden(
-        &std::fs::read_to_string(golden_path())
-            .expect("golden file missing; bless via the ktrace_golden test"),
-    );
-    for cfg in [
-        Config::process_np(),
-        Config::process_pp(),
-        Config::interrupt_np(),
-        Config::interrupt_pp(),
-    ] {
-        let label = cfg.label.replace(' ', "_");
+    let golden = golden_digests();
+    for (label, cfg) in golden_configs() {
         let k = run_traced_flukeperf(cfg.with_kprof().with_kspan(), Scale::Quick);
         assert_eq!(k.trace.dropped_total(), 0, "{label}: trace overflowed");
         // The tracer really ran: requests completed, each decomposed

@@ -5,7 +5,8 @@
 //! bit-identical in the raw ktrace — every timestamp, preemption,
 //! restart, and rollback exactly where it was. This test runs the
 //! traced `flukeperf` workload under both execution models (and both
-//! NP/PP preemption styles) and compares a canonical FNV-1a digest of
+//! NP/PP preemption styles), plus multiprocessor rows that pin the
+//! lock-wait, idle and shootdown paths, and compares a canonical FNV-1a digest of
 //! the merged trace against digests blessed *before* the refactor.
 //!
 //! To re-bless after an intentional behavioral change:
@@ -16,51 +17,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-use fluke_bench::tracediff::{run_traced_flukeperf, trace_digest};
+use fluke_bench::tracediff::{
+    golden_configs, golden_digest_path, golden_digests, run_traced_flukeperf, trace_digest,
+};
 use fluke_bench::Scale;
-use fluke_core::Config;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("ktrace_digests.txt")
-}
-
-fn parse_golden(text: &str) -> BTreeMap<String, (u64, u64)> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let label = it.next().expect("label").to_string();
-        let hash = u64::from_str_radix(it.next().expect("hash").trim_start_matches("0x"), 16)
-            .expect("hex hash");
-        let count: u64 = it.next().expect("count").parse().expect("record count");
-        out.insert(label, (hash, count));
-    }
-    out
-}
-
-fn configs() -> Vec<Config> {
-    vec![
-        Config::process_np(),
-        Config::process_pp(),
-        Config::interrupt_np(),
-        Config::interrupt_pp(),
-    ]
-}
 
 #[test]
 fn raw_ktrace_digests_match_blessed_goldens() {
     let bless = std::env::var("FLUKE_BLESS").is_ok();
     let mut current = BTreeMap::new();
-    for cfg in configs() {
-        let label = cfg.label.replace(' ', "_");
+    for (label, cfg) in golden_configs() {
         let k = run_traced_flukeperf(cfg, Scale::Quick);
         assert_eq!(k.trace.dropped_total(), 0, "{label}: trace overflowed");
         current.insert(label, trace_digest(&k));
@@ -74,20 +41,17 @@ fn raw_ktrace_digests_match_blessed_goldens() {
         for (label, (hash, count)) in &current {
             writeln!(text, "{label} 0x{hash:016x} {count}").unwrap();
         }
-        std::fs::create_dir_all(golden_path().parent().unwrap()).unwrap();
-        std::fs::write(golden_path(), text).unwrap();
+        std::fs::create_dir_all(golden_digest_path().parent().unwrap()).unwrap();
+        std::fs::write(golden_digest_path(), text).unwrap();
         eprintln!(
             "blessed {} digests to {}",
             current.len(),
-            golden_path().display()
+            golden_digest_path().display()
         );
         return;
     }
 
-    let golden = parse_golden(
-        &std::fs::read_to_string(golden_path())
-            .expect("golden file missing; run with FLUKE_BLESS=1 to create it"),
-    );
+    let golden = golden_digests();
     for (label, got) in &current {
         let want = golden
             .get(label)
