@@ -247,21 +247,10 @@ impl Config {
     pub fn interrupt_np() -> Self {
         Config {
             model: ExecModel::Interrupt,
-            preempt: Preemption::None,
-            num_cpus: 1,
             kstack_bytes: 0,
             tcb_bytes: 300, // paper Table 7: Fluke interrupt-model TCB
-            timeslice: ms_to_cycles(10),
-            trace: TraceConfig::default(),
-            kprof: false,
-            kspan: false,
-            flowcheck: false,
-            fast_mem: true,
-            kfault: None,
-            big_lock: false,
-            port_index: true,
             label: "Interrupt NP",
-            krec: None,
+            ..Self::process_np()
         }
     }
 

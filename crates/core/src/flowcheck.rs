@@ -29,9 +29,10 @@ use std::collections::BTreeMap;
 use fluke_api::flow::{flow_op, restart_closure, val_role, FlowOp, ValRole};
 use fluke_api::{abi, ErrorCode, ObjType, Sys};
 
-use crate::ids::ThreadId;
-use crate::kernel::Kernel;
+use crate::ids::{Arena, ThreadId};
 use crate::phys::FrameId;
+use crate::space::Space;
+use crate::thread::Thread;
 
 /// A physical object location: the frame and in-frame offset a handle's
 /// virtual address translates to (object identity per the paper §2).
@@ -109,6 +110,13 @@ pub struct Flowcheck {
     pub checks: u64,
 }
 
+/// Translate `vaddr` in `t`'s space to a physical location, exactly as
+/// handle lookup does (read access; no fault side effects).
+fn loc_of(threads: &Arena<Thread>, spaces: &Arena<Space>, t: ThreadId, vaddr: u32) -> Option<Loc> {
+    let sid = threads.get(t.0)?.space?;
+    spaces.get(sid.0)?.translate(vaddr, false)
+}
+
 impl Flowcheck {
     /// A checker in the given enablement state.
     pub fn new(on: bool) -> Flowcheck {
@@ -118,213 +126,141 @@ impl Flowcheck {
         }
     }
 
-    fn record(&mut self, v: Violation) {
+    /// Check-and-update one lifecycle action at a known location. A move
+    /// is applied at its source and then, with `target`, at its target.
+    fn apply(&mut self, t: ThreadId, sys: Sys, vaddr: u32, loc: Loc, op: FlowOp, target: bool) {
+        use ViolationKind::*;
+        let state = self.shadow.get(&loc).copied();
+        let live = state.flatten();
+        let confused = |expected| {
+            let found = live.filter(|&found| found != expected)?;
+            Some(TypeConfusion { expected, found })
+        };
+        let (kind, next) = match (op, state) {
+            (FlowOp::Create(ty), _) => (live.map(CreateOverLive), Some(Some(ty))),
+            (FlowOp::Move(ty), _) if target => (live.map(MoveTargetLive), Some(Some(ty))),
+            (FlowOp::Destroy(_), Some(None)) => (Some(DestroyAbsent), Some(None)),
+            (FlowOp::Move(_), Some(None)) => (Some(MoveSourceAbsent), Some(None)),
+            (FlowOp::Destroy(ty) | FlowOp::Move(ty), _) => (confused(ty), Some(None)),
+            (FlowOp::Use(_), Some(None)) => (Some(UseAfterDestroy), None),
+            // Several handle paths transparently chase Reference objects,
+            // so a live Reference satisfies any use.
+            (FlowOp::Use(_), Some(Some(ObjType::Reference))) => (None, None),
+            (FlowOp::Use(ty), _) => (confused(ty), None),
+            (FlowOp::Other, _) => return,
+        };
+        self.checks += 1;
+        if let Some(next) = next {
+            self.shadow.insert(loc, next);
+        }
+        if let Some(kind) = kind {
+            self.record(t, sys, vaddr, kind);
+        }
+    }
+
+    fn record(&mut self, thread: ThreadId, sys: Sys, vaddr: u32, kind: ViolationKind) {
         self.violations_total += 1;
         if self.violations.len() < MAX_VIOLATIONS {
+            let v = Violation {
+                thread,
+                sys,
+                vaddr,
+                kind,
+            };
             self.violations.push(v);
         }
     }
 
-    /// Check-and-update one lifecycle action at a known location.
-    fn apply(&mut self, thread: ThreadId, sys: Sys, vaddr: u32, loc: Loc, op: FlowOp) {
-        self.checks += 1;
-        match op {
-            FlowOp::Create(ty) => {
-                if let Some(Some(found)) = self.shadow.get(&loc) {
-                    self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::CreateOverLive(*found),
-                    });
-                }
-                self.shadow.insert(loc, Some(ty));
-            }
-            FlowOp::Destroy(ty) => {
-                match self.shadow.get(&loc) {
-                    Some(None) => self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::DestroyAbsent,
-                    }),
-                    Some(Some(found)) if *found != ty => self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::TypeConfusion {
-                            expected: ty,
-                            found: *found,
-                        },
-                    }),
-                    _ => {}
-                }
-                self.shadow.insert(loc, None);
-            }
-            FlowOp::Use(ty) => match self.shadow.get(&loc) {
-                Some(None) => self.record(Violation {
-                    thread,
-                    sys,
-                    vaddr,
-                    kind: ViolationKind::UseAfterDestroy,
-                }),
-                // Several handle paths transparently chase Reference
-                // objects, so a live Reference satisfies any use.
-                Some(Some(found)) if *found != ty && *found != ObjType::Reference => {
-                    self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::TypeConfusion {
-                            expected: ty,
-                            found: *found,
-                        },
-                    })
-                }
-                _ => {}
-            },
-            FlowOp::Move(_) | FlowOp::Other => unreachable!("handled by caller"),
-        }
-    }
-}
-
-impl Kernel {
-    /// Translate `vaddr` in `t`'s space to a physical location, exactly
-    /// as handle lookup does (read access; no fault side effects).
-    fn flowcheck_loc(&self, t: ThreadId, vaddr: u32) -> Option<Loc> {
-        let sid = self.threads.get(t.0)?.space?;
-        self.spaces.get(sid.0)?.translate(vaddr, false)
-    }
-
-    /// Flowcheck hook at syscall completion (both the running
-    /// `finish_syscall` path and the blocked `complete_blocked` path),
-    /// called while `eax` still names the completed entrypoint. Clears
-    /// the thread's block record and, on success, applies the
-    /// entrypoint's lifecycle actions to the shadow map.
-    pub(crate) fn flowcheck_exit(&mut self, t: ThreadId, code: ErrorCode) {
-        if !self.flowcheck.on {
+    /// Hook at syscall completion (both the running `finish_syscall`
+    /// path and the blocked `complete_blocked` path), called while `eax`
+    /// still names the completed entrypoint. Clears the thread's block
+    /// record and, on success, applies the entrypoint's lifecycle actions
+    /// to the shadow map.
+    pub(crate) fn on_exit(
+        &mut self,
+        threads: &Arena<Thread>,
+        spaces: &Arena<Space>,
+        t: ThreadId,
+        code: ErrorCode,
+    ) {
+        if !self.on {
             return;
         }
-        self.flowcheck.blocked.remove(&t.0);
-        if code != ErrorCode::Success {
-            return;
-        }
-        let Some(th) = self.threads.get(t.0) else {
+        self.blocked.remove(&t.0);
+        let Some(th) = threads.get(t.0).filter(|_| code == ErrorCode::Success) else {
             return;
         };
         let Some(sys) = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax)) else {
             return;
         };
-        let hv = th.regs.get(abi::ARG_HANDLE);
-        let vv = th.regs.get(abi::ARG_VAL);
-        match flow_op(sys) {
-            FlowOp::Other => {}
-            FlowOp::Move(ty) => {
-                // Source: live with this type → absent.
-                if let Some(loc) = self.flowcheck_loc(t, hv) {
-                    self.flowcheck.checks += 1;
-                    match self.flowcheck.shadow.get(&loc) {
-                        Some(None) => self.flowcheck.record(Violation {
-                            thread: t,
-                            sys,
-                            vaddr: hv,
-                            kind: ViolationKind::MoveSourceAbsent,
-                        }),
-                        Some(Some(found)) if *found != ty => {
-                            let found = *found;
-                            self.flowcheck.record(Violation {
-                                thread: t,
-                                sys,
-                                vaddr: hv,
-                                kind: ViolationKind::TypeConfusion {
-                                    expected: ty,
-                                    found,
-                                },
-                            })
-                        }
-                        _ => {}
-                    }
-                    self.flowcheck.shadow.insert(loc, None);
-                }
-                // Target: must not be known-live → live with this type.
-                if let Some(loc) = self.flowcheck_loc(t, vv) {
-                    self.flowcheck.checks += 1;
-                    if let Some(Some(found)) = self.flowcheck.shadow.get(&loc) {
-                        let found = *found;
-                        self.flowcheck.record(Violation {
-                            thread: t,
-                            sys,
-                            vaddr: vv,
-                            kind: ViolationKind::MoveTargetLive(found),
-                        });
-                    }
-                    self.flowcheck.shadow.insert(loc, Some(ty));
-                }
-            }
-            op => {
-                if let Some(loc) = self.flowcheck_loc(t, hv) {
-                    self.flowcheck.apply(t, sys, hv, loc, op);
-                }
-                // A secondary object named by the value register
-                // (`cond_wait`'s mutex, `*_reference`'s Reference) is a
-                // use of that type.
-                if let ValRole::Object(oty) = val_role(sys) {
-                    if let Some(loc) = self.flowcheck_loc(t, vv) {
-                        self.flowcheck.apply(t, sys, vv, loc, FlowOp::Use(oty));
-                    }
-                }
-            }
+        let op = flow_op(sys);
+        let (hv, vv) = (th.regs.get(abi::ARG_HANDLE), th.regs.get(abi::ARG_VAL));
+        let loc = |vaddr| loc_of(threads, spaces, t, vaddr);
+        if let Some(l) = loc(hv) {
+            self.apply(t, sys, hv, l, op, false);
+        }
+        // A move's target must not be known-live; a secondary object named
+        // by the value register (`cond_wait`'s mutex, `*_reference`'s
+        // Reference) is a use of that type.
+        let second = match (op, val_role(sys)) {
+            (FlowOp::Move(_), _) => Some((op, true)),
+            (FlowOp::Other, _) => None,
+            (_, ValRole::Object(ty)) => Some((FlowOp::Use(ty), false)),
+            _ => None,
+        };
+        if let (Some((op, target)), Some(l)) = (second, loc(vv)) {
+            self.apply(t, sys, vv, l, op, target);
         }
     }
 
-    /// Flowcheck hook at an audited block/preempt point: remember the
-    /// dispatched entrypoint so the next re-entry can be validated
-    /// against its restart closure. Outside a dispatch (a user-mode
-    /// fault blocking on its keeper) any stale record is cleared — that
-    /// wait is not a syscall continuation.
-    pub(crate) fn flowcheck_note_block(&mut self, t: ThreadId, dispatched: Option<Sys>) {
-        if !self.flowcheck.on {
-            return;
-        }
-        match dispatched {
-            Some(sys) => {
-                self.flowcheck.blocked.insert(t.0, sys);
+    /// Hook at a block/preempt point of `t`, given the audited dispatch
+    /// in flight (its caller and entrypoint), if any. `t`'s own dispatch
+    /// is remembered so the next re-entry can be validated against its
+    /// restart closure. Outside a dispatch (a user-mode fault blocking on
+    /// its keeper) any stale record is cleared — that wait is not a
+    /// syscall continuation.
+    pub(crate) fn on_block(&mut self, t: ThreadId, audited: Option<(ThreadId, Sys)>) {
+        match audited {
+            _ if !self.on => {}
+            Some((caller, sys)) if caller == t => {
+                self.blocked.insert(t.0, sys);
             }
+            Some(_) => {}
             None => {
-                self.flowcheck.blocked.remove(&t.0);
+                self.blocked.remove(&t.0);
             }
         }
     }
 
-    /// Flowcheck hook at syscall (re-)entry: a restarting thread with a
-    /// recorded block must re-enter inside the recorded entrypoint's
-    /// restart closure. Fresh entries clear any stale record.
-    pub(crate) fn flowcheck_entry(&mut self, t: ThreadId, restarting: bool) {
-        if !self.flowcheck.on {
+    /// Hook at syscall (re-)entry: a restarting thread with a recorded
+    /// block must re-enter inside the recorded entrypoint's restart
+    /// closure. Fresh entries clear any stale record.
+    pub(crate) fn on_entry(&mut self, threads: &Arena<Thread>, t: ThreadId, restarting: bool) {
+        if !self.on {
             return;
         }
         if !restarting {
-            self.flowcheck.blocked.remove(&t.0);
+            self.blocked.remove(&t.0);
             return;
         }
-        let Some(&orig) = self.flowcheck.blocked.get(&t.0) else {
+        let Some(&orig) = self.blocked.get(&t.0) else {
             return;
         };
-        let eax = match self.threads.get(t.0) {
+        let eax = match threads.get(t.0) {
             Some(th) => th.regs.get(fluke_arch::Reg::Eax),
             None => return,
         };
-        self.flowcheck.checks += 1;
+        self.checks += 1;
         match Sys::from_u32(eax) {
             Some(sys) if restart_closure(orig).contains(sys) => {}
             reentered => {
                 let sys = reentered.unwrap_or(orig);
-                self.flowcheck.record(Violation {
-                    thread: t,
+                self.record(
+                    t,
                     sys,
-                    vaddr: 0,
-                    kind: ViolationKind::IllegalReentry { blocked_as: orig },
-                });
+                    0,
+                    ViolationKind::IllegalReentry { blocked_as: orig },
+                );
             }
         }
     }
@@ -351,6 +287,10 @@ mod tests {
         (k, t, base)
     }
 
+    fn exit(k: &mut Kernel, t: ThreadId, code: ErrorCode) {
+        k.flowcheck.on_exit(&k.threads, &k.spaces, t, code);
+    }
+
     fn stage(k: &mut Kernel, t: ThreadId, sys: Sys, handle: u32) {
         let th = k.threads.get_mut(t.0).unwrap();
         th.regs.set(Reg::Eax, sys.num());
@@ -362,12 +302,12 @@ mod tests {
         let (mut k, t, base) = staged();
         // A successful create marks the location live…
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert!(k.flowcheck.violations.is_empty());
         // …so a second successful create at the same location is a
         // lifecycle violation.
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(k.flowcheck.violations.len(), 1);
         assert_eq!(
             k.flowcheck.violations[0].kind,
@@ -376,9 +316,9 @@ mod tests {
         // Destroy → definitely absent; a *successful* use afterwards is
         // use-after-destroy.
         stage(&mut k, t, Sys::MutexDestroy, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         stage(&mut k, t, Sys::MutexUnlock, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(k.flowcheck.violations.len(), 2);
         assert_eq!(
             k.flowcheck.violations[1].kind,
@@ -386,7 +326,7 @@ mod tests {
         );
         // Failed completions assert nothing.
         stage(&mut k, t, Sys::MutexUnlock, base);
-        k.flowcheck_exit(t, ErrorCode::InvalidHandle);
+        exit(&mut k, t, ErrorCode::InvalidHandle);
         assert_eq!(k.flowcheck.violations_total, 2);
     }
 
@@ -394,11 +334,11 @@ mod tests {
     fn type_confusion_is_flagged_but_references_pass() {
         let (mut k, t, base) = staged();
         stage(&mut k, t, Sys::CondCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         // Using a Cond location through a Mutex entrypoint succeeded:
         // type confusion.
         stage(&mut k, t, Sys::MutexUnlock, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(
             k.flowcheck.violations[0].kind,
             ViolationKind::TypeConfusion {
@@ -408,9 +348,9 @@ mod tests {
         );
         // A live Reference satisfies any use (handle paths chase refs).
         stage(&mut k, t, Sys::RefCreate, base + 0x20);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         stage(&mut k, t, Sys::MutexUnlock, base + 0x20);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(k.flowcheck.violations_total, 1);
     }
 
@@ -419,23 +359,23 @@ mod tests {
         let (mut k, t, _) = staged();
         // Thread blocked while dispatched as cond_wait; its restart
         // closure is {cond_wait, mutex_lock}.
-        k.flowcheck_note_block(t, Some(Sys::CondWait));
+        k.flowcheck.on_block(t, Some((t, Sys::CondWait)));
         // Re-entering as mutex_lock is the legal atomic-API rewrite…
         k.threads
             .get_mut(t.0)
             .unwrap()
             .regs
             .set(Reg::Eax, Sys::MutexLock.num());
-        k.flowcheck_entry(t, true);
+        k.flowcheck.on_entry(&k.threads, t, true);
         assert!(k.flowcheck.violations.is_empty());
         // …but re-entering as sys_null is not.
-        k.flowcheck_note_block(t, Some(Sys::CondWait));
+        k.flowcheck.on_block(t, Some((t, Sys::CondWait)));
         k.threads
             .get_mut(t.0)
             .unwrap()
             .regs
             .set(Reg::Eax, Sys::SysNull.num());
-        k.flowcheck_entry(t, true);
+        k.flowcheck.on_entry(&k.threads, t, true);
         assert_eq!(
             k.flowcheck.violations[0].kind,
             ViolationKind::IllegalReentry {
@@ -443,9 +383,9 @@ mod tests {
             }
         );
         // A fresh (non-restarting) entry clears any stale record.
-        k.flowcheck_note_block(t, Some(Sys::CondWait));
-        k.flowcheck_entry(t, false);
-        k.flowcheck_entry(t, true);
+        k.flowcheck.on_block(t, Some((t, Sys::CondWait)));
+        k.flowcheck.on_entry(&k.threads, t, false);
+        k.flowcheck.on_entry(&k.threads, t, true);
         assert_eq!(k.flowcheck.violations_total, 1);
     }
 
@@ -453,23 +393,23 @@ mod tests {
     fn move_tracks_source_and_target() {
         let (mut k, t, base) = staged();
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         // Successful move: source becomes absent, target live.
         let th = k.threads.get_mut(t.0).unwrap();
         th.regs.set(Reg::Eax, Sys::MutexMove.num());
         th.regs.set(abi::ARG_HANDLE, base);
         th.regs.set(abi::ARG_VAL, base + 0x40);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert!(k.flowcheck.violations.is_empty());
         // The vacated source can be re-created; the occupied target
         // cannot be moved onto again.
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         let th = k.threads.get_mut(t.0).unwrap();
         th.regs.set(Reg::Eax, Sys::MutexMove.num());
         th.regs.set(abi::ARG_HANDLE, base);
         th.regs.set(abi::ARG_VAL, base + 0x40);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(
             k.flowcheck.violations[0].kind,
             ViolationKind::MoveTargetLive(ObjType::Mutex)

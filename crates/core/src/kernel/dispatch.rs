@@ -23,7 +23,7 @@
 use fluke_api::abi::{self, ARG_COUNT, ARG_HANDLE, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::state::{ObjStateFrame, ThreadStateFrame};
 use fluke_api::{CommonOp, ErrorCode, ObjType, Sys, SYSCALLS, SYSCALL_COUNT};
-use fluke_arch::{ProgramId, Reg};
+use fluke_arch::Reg;
 
 use crate::config::Preemption;
 use crate::ids::{ObjId, ThreadId};
@@ -31,7 +31,7 @@ use crate::object::ObjData;
 use crate::thread::{IpcRole, RunState, WaitReason};
 
 use super::ipc::AfterSend;
-use super::{Kernel, SysCtx, SysOutcome, SysResult};
+use super::{KEvent, Kernel, SysCtx, SysOutcome, SysResult};
 
 /// One system-call handler: a row of [`HANDLERS`]. Handlers receive the
 /// kernel and the dispatch context; every register access and every
@@ -100,8 +100,8 @@ handlers! {
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
     fn h_sys_trace(k, cx) {
-        let v = cx.arg(k, ARG_VAL);
-        k.trace_mark(cx.t, v);
+        let value = cx.arg(k, ARG_VAL);
+        k.emit(KEvent::Mark { thread: cx.t, value });
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
     fn h_sys_stats(k, cx) { k.sys_stats(cx) }
@@ -249,9 +249,7 @@ impl Kernel {
         let t = cx.t;
         let vaddr = cx.arg(self, ARG_HANDLE);
         let loc = self.user_translate(t, vaddr, true)?;
-        self.klock_section();
-        self.charge(self.cost.object_create);
-        self.progress();
+        self.locked_op(self.cost.object_create);
         if self.objects.at_loc(loc).is_some() {
             return Err(Self::fail(ErrorCode::AlreadyExists));
         }
@@ -388,9 +386,7 @@ impl Kernel {
     fn obj_destroy(&mut self, cx: &mut SysCtx, ty: ObjType) -> SysResult {
         let vaddr = cx.arg(self, ARG_HANDLE);
         let oid = self.lookup_typed(cx.t, vaddr, ty)?;
-        self.klock_section();
-        self.charge(self.cost.object_destroy);
-        self.progress();
+        self.locked_op(self.cost.object_destroy);
         self.destroy_object(oid);
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
@@ -501,9 +497,7 @@ impl Kernel {
         let buf = cx.arg(self, ARG_SBUF);
         let cap = cx.arg(self, ARG_COUNT) as usize;
         let oid = self.lookup_typed(t, vaddr, ty)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let frame = self.export_state(oid, ty)?;
         let words = frame.to_words();
         if words.len() > cap {
@@ -586,17 +580,7 @@ impl Kernel {
                     .threads
                     .get(tid.0)
                     .ok_or(Self::fail(ErrorCode::InvalidHandle))?;
-                ObjStateFrame::Thread(ThreadStateFrame {
-                    regs: th.regs,
-                    program: th.program.unwrap_or(ProgramId(u64::MAX)),
-                    space_token: th.space_token,
-                    priority: th.priority,
-                    runnable: match th.state {
-                        RunState::Stopped | RunState::Halted => 0,
-                        _ => 1,
-                    },
-                    ipc_phase: th.ipc.conn.map(|_| 1).unwrap_or(0),
-                })
+                ObjStateFrame::Thread(th.state_frame())
             }
         })
     }
@@ -620,9 +604,7 @@ impl Kernel {
         for i in 0..n {
             words.push(self.read_user_u32(t, buf + (i as u32) * 4)?);
         }
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let frame = ObjStateFrame::from_words(ty, &words).map_err(Self::fail)?;
         self.install_state(t, oid, frame)?;
         Ok(SysOutcome::Done(ErrorCode::Success))
@@ -798,7 +780,7 @@ impl Kernel {
         // discarded wholesale — the frame is the complete new truth. Any
         // open request the target carried ends here: the installed frame
         // starts a fresh one at its next kernel entry.
-        self.kspan.on_abort(tid);
+        self.emit(KEvent::Abort { thread: tid });
         self.unlink_waiter(tid);
         {
             let th = self
@@ -871,9 +853,7 @@ impl Kernel {
         let new = cx.arg(self, ARG_VAL);
         let oid = self.lookup_typed(t, old, ty)?;
         let new_loc = self.user_translate(t, new, true)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         if self.objects.relocate(oid, new_loc) {
             // Keep self-naming tokens in sync for fault messages.
             if let Some(ObjData::Region { self_token, .. }) =
@@ -895,9 +875,7 @@ impl Kernel {
         let ref_tok = cx.arg(self, ARG_VAL);
         let target = self.lookup_typed(t, target_tok, ty)?;
         let r = self.lookup_typed(t, ref_tok, ObjType::Reference)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Ref {
             target: tg,
             target_token,
@@ -921,9 +899,7 @@ impl Kernel {
         let t = cx.t;
         let h = cx.arg(self, ARG_HANDLE);
         let m = self.lookup_typed(t, h, ObjType::Mutex)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Mutex { locked, waiters }) = self.objects.get_mut(m).map(|o| &mut o.data)
         else {
             return Err(Self::fail(ErrorCode::InvalidHandle));
@@ -941,9 +917,7 @@ impl Kernel {
     fn sys_mutex_trylock(&mut self, cx: &mut SysCtx) -> SysResult {
         let h = cx.arg(self, ARG_HANDLE);
         let m = self.lookup_typed(cx.t, h, ObjType::Mutex)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Mutex { locked, .. }) = self.objects.get_mut(m).map(|o| &mut o.data)
         else {
             return Err(Self::fail(ErrorCode::InvalidHandle));
@@ -960,9 +934,7 @@ impl Kernel {
     fn sys_mutex_unlock(&mut self, cx: &mut SysCtx) -> SysResult {
         let h = cx.arg(self, ARG_HANDLE);
         let m = self.lookup_typed(cx.t, h, ObjType::Mutex)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Mutex { locked, waiters }) = self.objects.get_mut(m).map(|o| &mut o.data)
         else {
             return Err(Self::fail(ErrorCode::InvalidHandle));
@@ -988,9 +960,7 @@ impl Kernel {
         let mh = cx.arg(self, ARG_VAL);
         let c = self.lookup_typed(t, ch, ObjType::Cond)?;
         let m = self.lookup_typed(t, mh, ObjType::Mutex)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         // Stage 1: release the mutex (waking one contender).
         let woken = {
             let Some(ObjData::Mutex { locked, waiters }) =
@@ -1020,9 +990,7 @@ impl Kernel {
     fn sys_cond_signal(&mut self, cx: &mut SysCtx) -> SysResult {
         let h = cx.arg(self, ARG_HANDLE);
         let c = self.lookup_typed(cx.t, h, ObjType::Cond)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let woken = {
             let Some(ObjData::Cond { waiters }) = self.objects.get_mut(c).map(|o| &mut o.data)
             else {
@@ -1041,9 +1009,7 @@ impl Kernel {
     fn sys_cond_broadcast(&mut self, cx: &mut SysCtx) -> SysResult {
         let h = cx.arg(self, ARG_HANDLE);
         let c = self.lookup_typed(cx.t, h, ObjType::Cond)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let woken: Vec<ThreadId> = {
             let Some(ObjData::Cond { waiters }) = self.objects.get_mut(c).map(|o| &mut o.data)
             else {
@@ -1074,9 +1040,7 @@ impl Kernel {
     fn sys_thread_interrupt(&mut self, cx: &mut SysCtx) -> SysResult {
         let h = cx.arg(self, ARG_HANDLE);
         let target = self.thread_handle(cx.t, h)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let blocked = self
             .threads
             .get(target.0)
@@ -1118,9 +1082,7 @@ impl Kernel {
         let t = cx.t;
         let h = cx.arg(self, ARG_HANDLE);
         let target = self.thread_handle(t, h)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         if target == t {
             return Err(Self::fail(ErrorCode::InvalidArg));
         }
@@ -1263,7 +1225,8 @@ impl Kernel {
                 // binding (modeled as a trace entry).
                 0x101 => {
                     let irq = cx.arg(self, ARG_VAL);
-                    self.trace_mark(t, 0x1000_0000 | irq);
+                    let value = 0x1000_0000 | irq;
+                    self.emit(KEvent::Mark { thread: t, value });
                 }
                 _ => return Err(Self::fail(ErrorCode::InvalidArg)),
             }
@@ -1291,9 +1254,7 @@ impl Kernel {
         let h = cx.arg(self, ARG_HANDLE);
         let writable = cx.arg(self, ARG_VAL) != 0;
         let r = self.lookup_typed(cx.t, h, ObjType::Region)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Region {
             owner, base, size, ..
         }) = self.objects.get(r).map(|o| &o.data)
@@ -1327,9 +1288,7 @@ impl Kernel {
         let h = cx.arg(self, ARG_HANDLE);
         let writable = cx.arg(self, ARG_VAL) != 0;
         let m = self.lookup_typed(cx.t, h, ObjType::Mapping)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Mapping {
             space,
             base,
@@ -1363,9 +1322,7 @@ impl Kernel {
         let len = cx.arg(self, ARG_COUNT);
         let offset = cx.arg(self, ARG_VAL);
         let r = self.lookup_typed(t, h, ObjType::Region)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let Some(ObjData::Region {
             owner, base, size, ..
         }) = self.objects.get(r).map(|o| &o.data)
@@ -1524,9 +1481,7 @@ impl Kernel {
         let t = cx.t;
         let h = cx.arg(self, ARG_HANDLE);
         let p = self.port_handle(t, h)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         if self.try_accept_from_port(t, p)? {
             return Ok(SysOutcome::Done(ErrorCode::Success));
         }
@@ -1543,9 +1498,7 @@ impl Kernel {
         let t = cx.t;
         let h = cx.arg(self, ARG_HANDLE);
         let ps = self.lookup_typed(t, h, ObjType::Portset)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         let members: Vec<ObjId> = match self.objects.get(ps).map(|o| &o.data) {
             Some(ObjData::Pset { members, .. }) => members.clone(),
             _ => return Err(Self::fail(ErrorCode::InvalidHandle)),

@@ -24,13 +24,13 @@ use fluke_arch::Reg;
 use crate::config::{Preemption, PP_CHUNK_BYTES};
 use crate::conn::{ClientEnd, Connection, Dir};
 use crate::ids::{ConnId, ObjId, ThreadId};
+use crate::kprof::Phase;
 use crate::kstat::FaultSide;
 use crate::object::ObjData;
 use crate::thread::{IpcRole, RunState, WaitReason};
-use crate::trace::TraceEvent;
 
 use super::mem::PumpFault;
-use super::{Kernel, SysCtx, SysOutcome, SysResult};
+use super::{KEvent, Kernel, SysCtx, SysOutcome, SysResult};
 
 /// Bytes between preemption checks under Full preemption (finer than the
 /// Partial configuration's single 8KB point, since FP is preemptible
@@ -468,8 +468,7 @@ impl Kernel {
                         cc.set_open(d, false);
                     }
                 }
-                self.stats.ipc_messages += 1;
-                self.ktrace(TraceEvent::IpcMessage { thread: current });
+                self.emit(KEvent::IpcMessage { thread: current });
                 return PumpOut::Complete;
             }
             let (r_rem, _) = self.end_avail(receiver);
@@ -485,14 +484,8 @@ impl Kernel {
             if matches!(receiver, XferEnd::User(_)) {
                 chunk = chunk.min(PAGE_SIZE - r_ptr % PAGE_SIZE);
             }
-            match self.cfg.preempt {
-                Preemption::Partial => {
-                    chunk = chunk.min(PP_CHUNK_BYTES - since_check % PP_CHUNK_BYTES)
-                }
-                Preemption::Full => {
-                    chunk = chunk.min(FP_CHUNK_BYTES - since_check % FP_CHUNK_BYTES)
-                }
-                Preemption::None => {}
+            if let Some(every) = self.preempt_every() {
+                chunk = chunk.min(every - since_check % every);
             }
             // Translate both pages, attributing faults to transfer sides.
             let s_loc = match sender {
@@ -524,31 +517,20 @@ impl Kernel {
                 _ => None,
             };
             self.move_bytes(sender, s_loc, receiver, r_loc, chunk);
-            // New bytes moved: the preamble (rollback) phase is over.
-            self.progress();
-            self.kprof.enter(crate::kprof::Phase::IpcCopy);
-            self.charge(self.cost.copy_byte_per * chunk as u64);
-            self.kprof.exit();
+            self.copied(current, chunk);
             self.end_advance(sender, true, chunk);
             self.end_advance(receiver, false, chunk);
             // The in-place parameter advance *is* the commit: both ends'
             // registers now describe "transferred this much, about to
             // transfer more" (paper §4.2).
             self.audit_commit(current);
-            self.stats.ipc_bytes += chunk as u64;
-            self.ktrace(TraceEvent::IpcTransfer {
-                thread: current,
-                bytes: chunk,
-            });
             since_check += chunk;
             // Explicit preemption points (Table 4: the PP configurations
             // check after every 8KB on this path; FP checks finer).
-            let check = match self.cfg.preempt {
-                Preemption::Partial => since_check >= PP_CHUNK_BYTES,
-                Preemption::Full => since_check >= FP_CHUNK_BYTES,
-                Preemption::None => false,
-            };
-            if check {
+            if self
+                .preempt_every()
+                .is_some_and(|every| since_check >= every)
+            {
                 since_check = 0;
                 self.charge(self.cost.preempt_check);
                 if self.cur_cpu_mut().resched {
@@ -563,6 +545,25 @@ impl Kernel {
                     return PumpOut::Preempted;
                 }
             }
+        }
+    }
+
+    /// The copy epilogue shared by every IPC data path: `bytes` new bytes
+    /// moved for `thread`'s transfer, so the rollback window closes; the
+    /// copy is charged under kprof's `IpcCopy` phase.
+    pub(crate) fn copied(&mut self, thread: ThreadId, bytes: u32) {
+        self.progress();
+        self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * bytes as u64);
+        self.emit(KEvent::IpcTransfer { thread, bytes });
+    }
+
+    /// Bytes between the copy path's explicit preemption points (`None`
+    /// for the non-preemptible configurations).
+    fn preempt_every(&self) -> Option<u32> {
+        match self.cfg.preempt {
+            Preemption::Partial => Some(PP_CHUNK_BYTES),
+            Preemption::Full => Some(FP_CHUNK_BYTES),
+            Preemption::None => None,
         }
     }
 
@@ -742,10 +743,7 @@ impl Kernel {
             IpcRole::Client => (Sys::IpcClientSendMore, Sys::IpcServerReceiveMore),
             IpcRole::Server => (Sys::IpcServerSendMore, Sys::IpcClientReceiveMore),
         };
-        if self.trace.enabled {
-            let bytes = self.end_avail(XferEnd::User(t)).0;
-            self.ktrace(TraceEvent::IpcSend { thread: t, bytes });
-        }
+        self.emit(KEvent::IpcSend { thread: t });
         self.charge(self.cost.ipc_setup / 2);
         {
             let c = self
@@ -797,7 +795,7 @@ impl Kernel {
                 // Complete the receiver.
                 match receiver {
                     XferEnd::User(rt) => {
-                        self.kspan_stitch(t, rt);
+                        self.emit(KEvent::Flow { from: t, to: rt });
                         self.complete_blocked(rt, ErrorCode::Success)
                     }
                     XferEnd::KernelSink(c) => self.complete_fault(c),
@@ -835,35 +833,15 @@ impl Kernel {
     /// After a send completes for the *current* thread: apply the
     /// continuation encoded in `pr1`.
     fn after_send_transition(&mut self, t: ThreadId, conn: ConnId) -> SysResult {
-        let flags = self.threads.get(t.0).expect("current").regs.pr[PR_IPC_FLAGS];
-        let after = AfterSend::from_flags(flags);
-        let role = self
-            .threads
-            .get(t.0)
-            .and_then(|x| x.ipc.role)
-            .unwrap_or(IpcRole::Client);
+        let (after, role) = self.after_send_of(t);
         match after {
             AfterSend::Complete => Ok(SysOutcome::Done(ErrorCode::Success)),
-            AfterSend::Receive => {
-                let th = self.threads.get_mut(t.0).expect("current");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(
-                    Reg::Eax,
-                    match role {
-                        IpcRole::Client => Sys::IpcClientReceive.num(),
-                        IpcRole::Server => Sys::IpcServerReceive.num(),
-                    },
-                );
-                Ok(SysOutcome::Chain)
-            }
-            AfterSend::WaitNext => {
-                let th = self.threads.get_mut(t.0).expect("current");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerReceive.num());
+            AfterSend::Receive | AfterSend::WaitNext => {
+                let next = match (after, role) {
+                    (AfterSend::Receive, IpcRole::Client) => Sys::IpcClientReceive,
+                    _ => Sys::IpcServerReceive,
+                };
+                self.rearm_receive(t, next);
                 Ok(SysOutcome::Chain)
             }
             AfterSend::Disconnect => {
@@ -875,69 +853,55 @@ impl Kernel {
             }
             AfterSend::DisconnectThenWait => {
                 self.disconnect_from(conn, ErrorCode::PeerDisconnected, Some(t));
-                let th = self.threads.get_mut(t.0).expect("current");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerWaitReceive.num());
+                self.rearm_receive(t, Sys::IpcServerWaitReceive);
                 Ok(SysOutcome::Chain)
             }
         }
+    }
+
+    /// A sender's pending post-send stage (its `pr1` flags) and its role.
+    fn after_send_of(&self, t: ThreadId) -> (AfterSend, IpcRole) {
+        let th = self.threads.get(t.0);
+        let flags = th.map(|x| x.regs.pr[PR_IPC_FLAGS]).unwrap_or(0);
+        let role = th.and_then(|x| x.ipc.role).unwrap_or(IpcRole::Client);
+        (AfterSend::from_flags(flags), role)
+    }
+
+    /// Rewrite `t`'s continuation to the receive-side entrypoint `next`:
+    /// its receive window comes back from `pr` and the pending-stage flags
+    /// clear.
+    fn rearm_receive(&mut self, t: ThreadId, next: Sys) {
+        let th = self.threads.get_mut(t.0).expect("ipc thread");
+        let window = th.regs.pr[PR_RECV_WINDOW];
+        th.regs.set(ARG_COUNT, window);
+        th.regs.pr[PR_IPC_FLAGS] = 0;
+        th.regs.set(Reg::Eax, next.num());
     }
 
     /// After a blocked sender's message is completed by the receiver:
     /// apply the sender's continuation without running it ("continuation
     /// recognition" on behalf of user code).
     fn blocked_sender_transition(&mut self, sender: ThreadId, conn: ConnId) {
-        let flags = self
-            .threads
-            .get(sender.0)
-            .map(|x| x.regs.pr[PR_IPC_FLAGS])
-            .unwrap_or(0);
-        let after = AfterSend::from_flags(flags);
-        let role = self
-            .threads
-            .get(sender.0)
-            .and_then(|x| x.ipc.role)
-            .unwrap_or(IpcRole::Client);
+        let (after, role) = self.after_send_of(sender);
         match after {
             AfterSend::Complete => self.complete_blocked(sender, ErrorCode::Success),
-            AfterSend::Receive => {
+            AfterSend::Receive | AfterSend::WaitNext => {
                 // Transition Blocked(IpcSend) → Blocked(IpcReceive): the
                 // sender is now awaiting the reply; its registers fully
                 // describe that wait.
-                if self.kspan.enabled {
-                    let now = self.cur_cpu().cpu.now;
-                    self.kspan
-                        .on_block(sender, WaitReason::IpcReceive(conn), now);
-                }
+                let reason = WaitReason::IpcReceive(conn);
+                self.emit(KEvent::Reblock {
+                    thread: sender,
+                    reason,
+                });
+                let next = match (after, role) {
+                    (AfterSend::Receive, IpcRole::Client) => Sys::IpcClientReceiveMore,
+                    _ => Sys::IpcServerReceiveMore,
+                };
+                self.rearm_receive(sender, next);
                 let th = self.threads.get_mut(sender.0).expect("sender");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(
-                    Reg::Eax,
-                    match role {
-                        IpcRole::Client => Sys::IpcClientReceiveMore.num(),
-                        IpcRole::Server => Sys::IpcServerReceiveMore.num(),
-                    },
-                );
-                th.state = RunState::Blocked(WaitReason::IpcReceive(conn));
-                th.inflight = Sys::from_u32(th.regs.get(Reg::Eax));
-            }
-            AfterSend::WaitNext => {
-                if self.kspan.enabled {
-                    let now = self.cur_cpu().cpu.now;
-                    self.kspan
-                        .on_block(sender, WaitReason::IpcReceive(conn), now);
-                }
-                let th = self.threads.get_mut(sender.0).expect("sender");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerReceiveMore.num());
-                th.state = RunState::Blocked(WaitReason::IpcReceive(conn));
-                th.inflight = Sys::from_u32(th.regs.get(Reg::Eax));
+                th.state = RunState::Blocked(reason);
+                th.inflight = Some(next);
             }
             AfterSend::Disconnect => {
                 self.complete_blocked(sender, ErrorCode::Success);
@@ -945,12 +909,9 @@ impl Kernel {
             }
             AfterSend::DisconnectThenWait => {
                 // Wake the server to go wait for its next request.
+                self.rearm_receive(sender, Sys::IpcServerWaitReceive);
                 let th = self.threads.get_mut(sender.0).expect("sender");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerWaitReceive.num());
-                th.inflight = Sys::from_u32(th.regs.get(Reg::Eax));
+                th.inflight = Some(Sys::IpcServerWaitReceive);
                 self.unblock(sender);
                 self.disconnect_from(conn, ErrorCode::PeerDisconnected, Some(sender));
             }
@@ -983,10 +944,7 @@ impl Kernel {
             IpcRole::Client => (Sys::IpcServerSendMore, Sys::IpcClientReceiveMore),
             IpcRole::Server => (Sys::IpcClientSendMore, Sys::IpcServerReceiveMore),
         };
-        if self.trace.enabled {
-            let window = self.end_avail(XferEnd::User(t)).0;
-            self.ktrace(TraceEvent::IpcReceive { thread: t, window });
-        }
+        self.emit(KEvent::IpcReceive { thread: t });
         self.charge(self.cost.ipc_setup / 2);
         // Identify a ready sender.
         let sender = {
@@ -1031,7 +989,7 @@ impl Kernel {
             PumpOut::Complete => {
                 match sender {
                     XferEnd::User(st) => {
-                        self.kspan_stitch(st, t);
+                        self.emit(KEvent::Flow { from: st, to: t });
                         self.blocked_sender_transition(st, conn)
                     }
                     XferEnd::KernelSrc(_) => {}
@@ -1068,9 +1026,7 @@ impl Kernel {
         }
         let h = cx.arg(self, ARG_HANDLE);
         let id = self.lookup_handle(t, h)?;
-        self.klock_section();
-        self.charge(self.cost.object_op);
-        self.progress();
+        self.locked_op(self.cost.object_op);
         match self.objects.get(id).map(|o| o.ty()) {
             Some(ObjType::Port) => {
                 if self.try_accept_from_port(t, id)? {
@@ -1216,7 +1172,7 @@ impl Kernel {
         match out {
             PumpOut::Complete => {
                 self.stats.ipc_messages += 1;
-                self.kspan_stitch(t, rt);
+                self.emit(KEvent::Flow { from: t, to: rt });
                 self.complete_blocked(rt, ErrorCode::Success);
                 Ok(SysOutcome::Done(ErrorCode::Success))
             }
@@ -1314,7 +1270,7 @@ impl Kernel {
         match out {
             PumpOut::Complete => {
                 self.stats.ipc_messages += 1;
-                self.kspan_stitch(st, t);
+                self.emit(KEvent::Flow { from: st, to: t });
                 self.complete_blocked(st, ErrorCode::Success);
                 Ok(SysOutcome::Done(ErrorCode::Success))
             }
@@ -1417,14 +1373,8 @@ impl Kernel {
             let mut chunk = (bytes.len() - pos) as u32;
             chunk = chunk.min(window);
             chunk = chunk.min(PAGE_SIZE - r_ptr % PAGE_SIZE);
-            match self.cfg.preempt {
-                Preemption::Partial => {
-                    chunk = chunk.min(PP_CHUNK_BYTES - since_check % PP_CHUNK_BYTES)
-                }
-                Preemption::Full => {
-                    chunk = chunk.min(FP_CHUNK_BYTES - since_check % FP_CHUNK_BYTES)
-                }
-                Preemption::None => {}
+            if let Some(every) = self.preempt_every() {
+                chunk = chunk.min(every - since_check % every);
             }
             let space = match self.threads.get(t.0).and_then(|x| x.space) {
                 Some(s) => s,
@@ -1453,25 +1403,15 @@ impl Kernel {
             };
             self.phys
                 .write_slice(rf, ro, &bytes[pos..pos + chunk as usize]);
-            self.progress();
-            self.kprof.enter(crate::kprof::Phase::IpcCopy);
-            self.charge(self.cost.copy_byte_per * chunk as u64);
-            self.kprof.exit();
+            self.copied(t, chunk);
             self.end_advance(XferEnd::User(t), false, chunk);
             pos += chunk as usize;
             self.audit_commit(t);
-            self.stats.ipc_bytes += chunk as u64;
-            self.ktrace(TraceEvent::IpcTransfer {
-                thread: t,
-                bytes: chunk,
-            });
             since_check += chunk;
-            let check = match self.cfg.preempt {
-                Preemption::Partial => since_check >= PP_CHUNK_BYTES,
-                Preemption::Full => since_check >= FP_CHUNK_BYTES,
-                Preemption::None => false,
-            };
-            if check {
+            if self
+                .preempt_every()
+                .is_some_and(|every| since_check >= every)
+            {
                 since_check = 0;
                 self.charge(self.cost.preempt_check);
                 if self.cur_cpu_mut().resched {
@@ -1484,8 +1424,7 @@ impl Kernel {
             }
         }
         self.pop_buffered(port);
-        self.stats.ipc_messages += 1;
-        self.ktrace(TraceEvent::IpcMessage { thread: t });
+        self.emit(KEvent::IpcMessage { thread: t });
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
 

@@ -13,14 +13,14 @@ use fluke_api::ErrorCode;
 
 use crate::conn::{Connection, KernelMsg};
 use crate::ids::{ConnId, ObjId, SpaceId, ThreadId};
-use crate::kstat::{FaultKind, FaultRecord, FaultSide};
+use crate::kprof::Phase;
+use crate::kstat::FaultSide;
 use crate::object::ObjData;
 use crate::phys::FrameId;
 use crate::space::Space;
 use crate::thread::WaitReason;
-use crate::trace::TraceEvent;
 
-use super::{Kernel, SysOutcome, SysResult};
+use super::{KEvent, Kernel, SysOutcome, SysResult};
 
 /// Result of a mapping-hierarchy walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,25 +182,16 @@ impl Kernel {
                     } else {
                         0
                     };
-                self.kprof.enter(crate::kprof::Phase::MemFill);
-                self.charge(cost);
-                self.kprof.exit();
+                self.charge_in(Phase::MemFill, cost);
                 if let Some(s) = self.spaces.get_mut(space.0) {
                     s.map_page(addr, frame, writable);
                 }
-                self.stats.soft_faults += 1;
-                self.stats.fault_records.push(FaultRecord {
-                    side,
-                    kind: FaultKind::Soft,
-                    remedy_cycles: cost,
-                    rollback_cycles: 0,
-                    during_ipc,
-                    at: self.now(),
-                });
-                self.ktrace(TraceEvent::SoftFault {
+                self.emit(KEvent::SoftFault {
                     thread: t,
                     addr,
+                    side,
                     remedy: cost,
+                    during_ipc,
                 });
                 Ok(())
             }
@@ -235,16 +226,9 @@ impl Kernel {
         during_ipc: bool,
         in_syscall: bool,
     ) {
-        self.stats.hard_faults += 1;
-        let record = self.stats.fault_records.len();
-        self.stats.fault_records.push(FaultRecord {
-            side,
-            kind: FaultKind::Hard,
-            remedy_cycles: 0, // finalized when the keeper replies
-            rollback_cycles: 0,
-            during_ipc,
-            at: self.now(),
-        });
+        // The fault record is pushed at the trace point below; nothing in
+        // between raises another fault, so its index is known now.
+        let (record, raised_at) = (self.stats.fault_records.len(), self.now());
         // Converting the fault into an exception IPC is remedy work. A
         // fault in the non-current (server) space costs extra cross-space
         // validation, exactly as on the soft path (Table 3).
@@ -255,9 +239,7 @@ impl Kernel {
         } else {
             0
         };
-        self.kprof.enter(crate::kprof::Phase::FaultIpc);
-        self.charge(self.cost.hard_fault_kernel + extra);
-        self.kprof.exit();
+        self.charge_in(Phase::FaultIpc, self.cost.hard_fault_kernel + extra);
         let self_token = match self.objects.get(region).map(|o| &o.data) {
             Some(ObjData::Region { self_token, .. }) => *self_token,
             _ => 0,
@@ -279,7 +261,7 @@ impl Kernel {
             bytes,
             pos: 0,
             fault_thread: t,
-            raised_at: self.stats.fault_records[record].at,
+            raised_at,
             record,
             reply: Vec::new(),
         };
@@ -305,7 +287,13 @@ impl Kernel {
             None
         };
         th.kstack_retained = false;
-        self.ktrace(TraceEvent::HardFault { thread: t, offset });
+        self.emit(KEvent::HardFault {
+            thread: t,
+            offset,
+            side,
+            during_ipc,
+            at: raised_at,
+        });
     }
 
     /// Called when the keeper replies to (or disconnects) an exception IPC:
@@ -318,15 +306,10 @@ impl Kernel {
             return;
         };
         let (t, raised_at, record) = (km.fault_thread, km.raised_at, km.record);
-        let now = self.now();
-        if let Some(rec) = self.stats.fault_records.get_mut(record) {
-            if rec.remedy_cycles == 0 {
-                rec.remedy_cycles = now.saturating_sub(raised_at);
-            }
-        }
-        self.ktrace(TraceEvent::HardFaultDone {
+        self.emit(KEvent::HardFaultDone {
             thread: t,
-            remedy: now.saturating_sub(raised_at),
+            record,
+            raised_at,
         });
         let still_waiting = matches!(
             self.threads.get(t.0).map(|x| x.state),
@@ -468,25 +451,16 @@ impl Kernel {
                         } else {
                             0
                         };
-                    self.kprof.enter(crate::kprof::Phase::MemFill);
-                    self.charge(cost);
-                    self.kprof.exit();
+                    self.charge_in(Phase::MemFill, cost);
                     if let Some(s) = self.spaces.get_mut(space.0) {
                         s.map_page(addr, frame, writable);
                     }
-                    self.stats.soft_faults += 1;
-                    self.stats.fault_records.push(FaultRecord {
-                        side,
-                        kind: FaultKind::Soft,
-                        remedy_cycles: cost,
-                        rollback_cycles: 0,
-                        during_ipc: true,
-                        at: self.now(),
-                    });
-                    self.ktrace(TraceEvent::SoftFault {
+                    self.emit(KEvent::SoftFault {
                         thread: current,
                         addr,
+                        side,
                         remedy: cost,
+                        during_ipc: true,
                     });
                     if cross {
                         // Conservative revalidation: the transfer restarts

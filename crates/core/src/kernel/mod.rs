@@ -16,11 +16,15 @@
 //!   call entry/exit paths;
 //! * `dispatch` — all non-IPC system call handlers;
 //! * `ipc` — connections, the data-transfer pump with its preemption
-//!   points, and the IPC entrypoints.
+//!   points, and the IPC entrypoints;
+//! * `observe` — the observer spine: [`KEvent`] and [`Kernel::emit`], the
+//!   one place kstat, kprof, kspan, ktrace and flowcheck are updated.
 
 mod dispatch;
 mod ipc;
 pub(crate) mod mem;
+mod observe;
+pub(crate) use observe::KEvent;
 mod run;
 mod snapshot;
 pub use snapshot::MemRun;
@@ -44,6 +48,7 @@ use crate::events::{EventKind, EventQueue};
 use crate::ids::{Arena, SpaceId, ThreadId};
 use crate::kfault::Kfault;
 use crate::kprof::Kprof;
+use crate::kprof::Phase;
 use crate::kspan::Kspan;
 use crate::kstat::Stats;
 use crate::object::ObjectTable;
@@ -51,7 +56,7 @@ use crate::phys::PhysMem;
 use crate::sched::{PerCpuQueues, ReadyQueue};
 use crate::space::Space;
 use crate::thread::{NativeBody, RunState, Thread, WaitReason};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::Tracer;
 
 pub use mem::SpaceMemAdapter;
 pub use run::RunExit;
@@ -239,26 +244,23 @@ impl Kernel {
     /// [`ConfigError`] instead of panicking.
     pub fn try_new(cfg: Config) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let trace = Tracer::new(cfg.trace.enabled, cfg.trace.ring_capacity, cfg.num_cpus);
-        let cfg_kprof = cfg.kprof;
-        let cfg_kspan = cfg.kspan;
-        let cfg_kfault = cfg.kfault;
-        let cfg_krec = cfg.krec;
-        let cfg_flowcheck = cfg.flowcheck;
-        let timeslice = cfg.timeslice;
         let cpus = (0..cfg.num_cpus)
             .map(|id| CpuSlot {
                 cpu: Cpu::new(id),
                 current: None,
                 resched: false,
-                slice_end: timeslice,
+                slice_end: cfg.timeslice,
                 last_space: None,
                 parked: false,
             })
             .collect();
-        let num_cpus = cfg.num_cpus;
+        let mut kprof = Kprof::new(cfg.kprof);
+        if cfg.kspan {
+            // kspan labels per-request charges by phase path even when
+            // full kprof attribution is off.
+            kprof.enable_path_tracking();
+        }
         Ok(Kernel {
-            cfg,
             cost: CostModel::pentium_pro_200(),
             cpus,
             active: 0,
@@ -271,27 +273,20 @@ impl Kernel {
             programs: Vec::new(),
             phys: PhysMem::new(),
             ready: ReadyQueue::new(),
-            runqs: PerCpuQueues::new(num_cpus),
+            runqs: PerCpuQueues::new(cfg.num_cpus),
             events: EventQueue::new(),
             stats: Stats::default(),
-            trace,
-            kprof: {
-                let mut kprof = Kprof::new(cfg_kprof);
-                if cfg_kspan {
-                    // kspan labels per-request charges by phase path even
-                    // when full kprof attribution is off.
-                    kprof.enable_path_tracking();
-                }
-                kprof
-            },
-            kspan: Kspan::new(cfg_kspan),
-            kfault: cfg_kfault.map(Kfault::new),
+            trace: Tracer::new(cfg.trace.enabled, cfg.trace.ring_capacity, cfg.num_cpus),
+            kprof,
+            kspan: Kspan::new(cfg.kspan),
+            kfault: cfg.kfault.map(Kfault::new),
             dispatch_rollback: None,
             rollback_active: false,
             dispatch_suppress: false,
             audit: None,
-            krec: cfg_krec.map(crate::krec::Krec::new),
-            flowcheck: crate::flowcheck::Flowcheck::new(cfg_flowcheck),
+            krec: cfg.krec.map(crate::krec::Krec::new),
+            flowcheck: crate::flowcheck::Flowcheck::new(cfg.flowcheck),
+            cfg,
         })
     }
 
@@ -305,24 +300,6 @@ impl Kernel {
     /// ([`Kprof::total`] — the sum-exactness invariant).
     pub fn total_cpu_cycles(&self) -> Cycles {
         self.cpus.iter().map(|c| c.cpu.now).sum()
-    }
-
-    /// Record a `ktrace` event on the acting CPU at the current simulated
-    /// time. A single predictable branch when tracing is off.
-    #[inline]
-    pub(crate) fn ktrace(&mut self, event: TraceEvent) {
-        if self.trace.enabled {
-            let at = self.cpus[self.active].cpu.now;
-            self.trace.emit(self.active, at, event);
-        }
-    }
-
-    /// Log a value through the `sys_trace` debug channel: the legacy
-    /// `Vec<u32>` view in [`Stats::trace_log`] plus a structured
-    /// [`TraceEvent::Mark`].
-    pub(crate) fn trace_mark(&mut self, thread: ThreadId, value: u32) {
-        self.stats.trace_log.push(value);
-        self.ktrace(TraceEvent::Mark { thread, value });
     }
 
     /// True if the kernel runs the interrupt execution model.
@@ -347,11 +324,10 @@ impl Kernel {
     /// advancing its clock to the waking instant.
     pub(crate) fn kick_parked(&mut self, at: Cycles) {
         if let Some(c) = self.cpus.iter_mut().find(|c| c.parked) {
-            let d = at.saturating_sub(c.cpu.now);
-            self.stats.idle_cycles += d;
-            self.kprof.attr_idle(d);
+            let idle = at.saturating_sub(c.cpu.now);
             c.cpu.now = c.cpu.now.max(at);
             c.parked = false;
+            self.emit(KEvent::Idle(idle));
         }
     }
 
@@ -374,19 +350,18 @@ impl Kernel {
     /// there.
     pub(crate) fn big_lock(&mut self) {
         if self.cfg.num_cpus > 1 {
-            let now = self.cur_cpu().cpu.now;
-            if self.kernel_free_at > now {
-                let wait = self.kernel_free_at - now;
-                self.stats.klock_cycles += wait;
-                self.stats.klock_wait_cycles += wait;
-                self.stats.kernel_cycles += wait;
-                self.kprof.attr_lock(wait);
-                if self.kspan.enabled {
-                    let cur = self.cur_cpu().current;
-                    self.kspan.on_lock_wait(cur, "klock", wait);
-                }
-                self.cur_cpu_mut().cpu.now += wait;
-            }
+            self.lock_wait(None, self.kernel_free_at);
+        }
+    }
+
+    /// Spin on the acting CPU until `free_at`, when the lock `key` (`None`
+    /// for the big lock) is released.
+    fn lock_wait(&mut self, key: Option<LockKey>, free_at: Cycles) {
+        let now = self.cur_cpu().cpu.now;
+        if free_at > now {
+            let cycles = free_at - now;
+            self.emit(KEvent::LockWait { key, cycles });
+            self.cur_cpu_mut().cpu.now += cycles;
         }
     }
 
@@ -403,9 +378,7 @@ impl Kernel {
     /// direct charging (no [`Kernel::charge`] — lock costs must not take
     /// the full-preemption surcharge or fire events mid-acquire).
     fn lock_overhead(&mut self, c: Cycles) {
-        self.stats.klock_cycles += c;
-        self.stats.kernel_cycles += c;
-        self.kprof.attr_lock(c);
+        self.emit(KEvent::LockCost(c));
         self.cur_cpu_mut().cpu.now += c;
     }
 
@@ -417,23 +390,8 @@ impl Kernel {
             return;
         }
         self.lock_overhead(self.cost.mp_lock_acquire);
-        let now = self.cur_cpu().cpu.now;
         let free_at = self.locks.get(&key).copied().unwrap_or(0);
-        if free_at > now {
-            let wait = free_at - now;
-            self.stats.klock_cycles += wait;
-            self.stats.klock_wait_cycles += wait;
-            self.stats.kernel_cycles += wait;
-            self.kprof.attr_lock(wait);
-            if let LockKey::RunQueue(_) = key {
-                self.stats.runq_wait_cycles += wait;
-                self.stats.runq_waits += 1;
-            } else if self.kspan.enabled {
-                let cur = self.cur_cpu().current;
-                self.kspan.on_lock_wait(cur, key.class(), wait);
-            }
-            self.cur_cpu_mut().cpu.now += wait;
-        }
+        self.lock_wait(Some(key), free_at);
     }
 
     /// Release a fine-grained lock: charge the release cost and stamp the
@@ -653,12 +611,12 @@ impl Kernel {
         if remotes == 0 {
             return;
         }
-        let acks = ack * remotes;
-        self.stats.kernel_cycles += acks;
-        self.kprof.attr_kernel(acks, false, 0);
-        self.stats.tlb_shootdown_ipis += remotes;
-        let sends = self.cost.tlb_shootdown_ipi * remotes;
-        self.stats.tlb_shootdown_cycles += sends + acks;
+        let (acks, sends) = (ack * remotes, self.cost.tlb_shootdown_ipi * remotes);
+        self.emit(KEvent::Shootdown {
+            remotes,
+            acks,
+            sends,
+        });
         self.charge(sends);
     }
 
@@ -954,19 +912,7 @@ impl Kernel {
         size: u32,
         keeper: Option<crate::ids::ObjId>,
     ) -> crate::ids::ObjId {
-        let data = crate::object::ObjData::Region {
-            owner,
-            base,
-            size,
-            keeper,
-            keeper_token: 0,
-            self_token: vaddr,
-        };
-        let oid = self.loader_insert(owner, vaddr, data);
-        if let Some(s) = self.spaces.get_mut(owner.0) {
-            s.regions.push(oid);
-        }
-        oid
+        self.loader_region_at(owner, vaddr, owner, base, size, keeper)
     }
 
     /// Loader: like [`Kernel::loader_region`] but the region *object*
@@ -1140,16 +1086,8 @@ impl Kernel {
     pub fn thread_frame(&self, t: ThreadId) -> ThreadStateFrame {
         let th = self.threads.get(t.0).expect("thread exists");
         ThreadStateFrame {
-            regs: th.regs,
-            program: th.program.unwrap_or(ProgramId(u64::MAX)),
             space_token: 0,
-            priority: th.priority,
-            runnable: if matches!(th.state, RunState::Stopped | RunState::Halted) {
-                0
-            } else {
-                1
-            },
-            ipc_phase: th.ipc.conn.map(|_| 1).unwrap_or(0),
+            ..th.state_frame()
         }
     }
 
@@ -1164,50 +1102,34 @@ impl Kernel {
         if self.dispatch_suppress {
             return;
         }
-        let mut c = c;
-        let mut lock_extra = 0;
-        if self.cfg.preempt == crate::config::Preemption::Full {
-            // Full preemption protects every kernel data structure with
-            // blocking mutexes; the aggregate acquire/release/contention
-            // cost is modeled as a 40% surcharge on kernel work,
-            // calibrated against Table 5's FP column (flukeperf 1.20,
-            // memtest 1.11, gcc 1.05).
-            let extra = c * 2 / 5;
-            self.stats.klock_cycles += extra;
-            lock_extra = extra;
-            c += extra;
-        }
-        self.cur_cpu_mut().cpu.now += c;
-        self.stats.kernel_cycles += c;
-        self.kprof
-            .attr_kernel(c - lock_extra, self.rollback_active, lock_extra);
-        if self.kspan.enabled {
-            if let Some(t) = self.cur_cpu().current {
-                let path = self.kprof.current_code(self.rollback_active);
-                self.kspan.on_charge(t, path, c - lock_extra, lock_extra);
-            }
-        }
-        if self.rollback_active {
-            self.stats.rollback_cycles += c;
-            if self.trace.enabled {
-                self.trace.pending_rollback += c;
-            }
-            if let Some(rec) = self.dispatch_rollback {
-                self.stats.fault_records[rec].rollback_cycles += c;
-            }
-        }
+        // Full preemption protects every kernel data structure with
+        // blocking mutexes; the aggregate acquire/release/contention cost
+        // is modeled as a 40% surcharge on kernel work, calibrated against
+        // Table 5's FP column (flukeperf 1.20, memtest 1.11, gcc 1.05).
+        let lock_extra = if self.cfg.preempt == crate::config::Preemption::Full {
+            c * 2 / 5
+        } else {
+            0
+        };
+        self.cur_cpu_mut().cpu.now += c + lock_extra;
+        self.emit(KEvent::Charge {
+            base: c,
+            lock_extra,
+        });
         self.service_due_events();
+    }
+
+    /// [`Kernel::charge`] with kprof phase `p` pushed for the charge.
+    pub(crate) fn charge_in(&mut self, p: Phase, c: Cycles) {
+        self.emit(KEvent::Enter(p));
+        self.charge(c);
+        self.emit(KEvent::Leave);
     }
 
     /// Mark the point in a handler where *new* work begins: preamble
     /// re-execution (rollback) accounting stops here.
     pub(crate) fn progress(&mut self) {
-        if self.trace.enabled && self.trace.pending_rollback > 0 {
-            let cycles = std::mem::take(&mut self.trace.pending_rollback);
-            if let Some(t) = self.cur_cpu().current {
-                self.ktrace(TraceEvent::Rollback { thread: t, cycles });
-            }
-        }
+        self.emit(KEvent::Progress);
         self.rollback_active = false;
         self.dispatch_rollback = None;
         self.dispatch_suppress = false;
@@ -1220,11 +1142,18 @@ impl Kernel {
     pub(crate) fn klock_section(&mut self) {
         if self.cfg.preempt == crate::config::Preemption::Full {
             let c = self.cost.klock_acquire + self.cost.klock_release;
-            self.stats.klock_cycles += c;
-            self.kprof.lock_begin();
+            self.emit(KEvent::KlockBegin(c));
             self.charge(c);
-            self.kprof.lock_end();
+            self.emit(KEvent::KlockEnd);
         }
+    }
+
+    /// One kernel-object operation costing `c`: its lock section (under
+    /// full preemption), the charge, and then new work begins.
+    pub(crate) fn locked_op(&mut self, c: Cycles) {
+        self.klock_section();
+        self.charge(c);
+        self.progress();
     }
 
     /// Fire all events due at or before the current time.
@@ -1292,7 +1221,7 @@ impl Kernel {
             }
             return;
         }
-        self.kspan.on_runnable(t, at);
+        self.emit(KEvent::TimerWake { thread: t, at });
         let th = self.threads.get_mut(t.0).expect("checked above");
         th.state = RunState::Ready;
         let prio = th.priority;
@@ -1307,12 +1236,11 @@ impl Kernel {
             return;
         };
         debug_assert!(th.is_blocked(), "unblock of non-blocked {t}");
-        self.kspan.on_runnable(t, now);
         th.state = RunState::Ready;
         th.woken_at = now;
         let prio = th.priority;
         self.sched_push(t, prio);
-        self.ktrace(TraceEvent::Wake { thread: t });
+        self.emit(KEvent::Wake { thread: t, at: now });
         self.kick_parked(now);
         self.note_wake_priority(prio);
     }
@@ -1355,10 +1283,6 @@ impl Kernel {
     /// brought its registers to a clean restart point and enqueued it on
     /// the appropriate wait queue.
     pub(crate) fn block_current(&mut self, t: ThreadId, reason: WaitReason) -> SysOutcome {
-        if self.kspan.enabled {
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_block(t, reason, now);
-        }
         let th = self.threads.get_mut(t.0).expect("current thread");
         th.state = RunState::Blocked(reason);
         th.inflight = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax));
@@ -1367,7 +1291,7 @@ impl Kernel {
         // block (paper §5.1), so nothing else is saved.
         th.kstack_retained = false;
         self.cur_cpu_mut().current = None;
-        self.ktrace(TraceEvent::Block { thread: t });
+        self.emit(KEvent::Block { thread: t, reason });
         self.audit_block_point(t, false);
         SysOutcome::Block
     }
@@ -1377,10 +1301,7 @@ impl Kernel {
     /// the next dispatch skips the re-entry preamble; under the interrupt
     /// model it restarts from its register continuation.
     pub(crate) fn preempt_current_in_kernel(&mut self, t: ThreadId) -> SysOutcome {
-        if self.kspan.enabled {
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_runnable(t, now);
-        }
+        let at = self.now();
         let retain = self.cfg.model == ExecModel::Process;
         let th = self.threads.get_mut(t.0).expect("current thread");
         th.state = RunState::Ready;
@@ -1390,8 +1311,7 @@ impl Kernel {
         self.sched_push_front_here(t, prio);
         self.cur_cpu_mut().current = None;
         self.cur_cpu_mut().resched = false;
-        self.stats.kernel_preemptions += 1;
-        self.ktrace(TraceEvent::KernelPreempt { thread: t });
+        self.emit(KEvent::KernelPreempt { thread: t, at });
         self.audit_block_point(t, true);
         SysOutcome::Preempted
     }
@@ -1402,30 +1322,20 @@ impl Kernel {
     /// kernel finishes the suspended computation by mutating its explicit
     /// state without ever switching to it.
     pub(crate) fn complete_blocked(&mut self, t: ThreadId, code: ErrorCode) {
-        if self.kspan.enabled {
-            // Close the span before the wake below: the request ends
-            // here, not at the thread's next dispatch.
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_close(t, now);
-        }
-        // The registers still hold the completed entrypoint and its
-        // arguments here — exactly what the flow checker needs.
-        self.flowcheck_exit(t, code);
+        // The request ends here, not at the thread's next dispatch; the
+        // registers still name the completed entrypoint and its arguments.
+        self.emit(KEvent::SyscallExit {
+            thread: t,
+            code,
+            in_place: true,
+        });
         let Some(th) = self.threads.get_mut(t.0) else {
             return;
         };
-        // Read the class of the completed entrypoint before the result
-        // code overwrites `eax`.
-        let class = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax)).map(|s| s.class());
         th.regs.set(fluke_arch::Reg::Eax, code as u32);
         th.regs.eip += 1;
         th.inflight = None;
         th.open_fault = None;
-        self.ktrace(TraceEvent::SyscallExit {
-            thread: t,
-            code: code as u32,
-            class,
-        });
         self.unblock(t);
     }
 
@@ -1439,76 +1349,31 @@ impl Kernel {
         let RunState::Blocked(reason) = th.state else {
             return;
         };
-        let indexed = self.cfg.port_index;
-        match reason {
-            WaitReason::Mutex(o) => {
-                if let Some(crate::object::ObjData::Mutex { waiters, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    waiters.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::Cond(o) => {
-                if let Some(crate::object::ObjData::Cond { waiters }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    waiters.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::PortWait(o) => {
-                if let Some(crate::object::ObjData::Port { server_q, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    server_q.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::PsetWait(o) => {
-                if let Some(crate::object::ObjData::Pset { server_q, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    server_q.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::OnewaySend(o) => {
-                if let Some(crate::object::ObjData::Port { oneway_senders, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    oneway_senders.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::OnewayReceive(o) => {
-                if let Some(crate::object::ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    oneway_receivers.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
+        let queue = match reason {
+            WaitReason::Mutex(o)
+            | WaitReason::Cond(o)
+            | WaitReason::PortWait(o)
+            | WaitReason::PsetWait(o)
+            | WaitReason::OnewaySend(o)
+            | WaitReason::OnewayReceive(o) => self
+                .objects
+                .get_mut(o)
+                .and_then(|ob| ob.data.wait_queue(reason)),
+            WaitReason::Join(x) => self.threads.get_mut(x.0).map(|x| &mut x.joiners),
+            WaitReason::Donate(x) => self.threads.get_mut(x.0).map(|x| &mut x.donors),
+            WaitReason::SpaceIdle(sid) => self.spaces.get_mut(sid.0).map(|sp| &mut sp.idle_waiters),
+            // Connection-linked waits: the connection state is consistent
+            // with a restart; nothing to unlink. (A pending unaccepted
+            // connect stays queued on the port; the restart finds it
+            // again.)
             WaitReason::IpcConnect(_)
             | WaitReason::IpcSend(_)
             | WaitReason::IpcReceive(_)
-            | WaitReason::PagerReply(_) => {
-                // Connection-linked waits: the connection state is
-                // consistent with a restart; nothing to unlink. (A pending
-                // unaccepted connect stays queued on the port; the restart
-                // finds it again.)
-            }
-            WaitReason::Join(target) => {
-                if let Some(tt) = self.threads.get_mut(target.0) {
-                    tt.joiners.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::SpaceIdle(sid) => {
-                if let Some(sp) = self.spaces.get_mut(sid.0) {
-                    sp.idle_waiters.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::Donate(d) => {
-                if let Some(tt) = self.threads.get_mut(d.0) {
-                    tt.donors.cancel(t, indexed, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::Sleep => {}
+            | WaitReason::PagerReply(_)
+            | WaitReason::Sleep => None,
+        };
+        if let Some(q) = queue {
+            q.cancel(t, self.cfg.port_index, &mut self.stats.waitq);
         }
     }
 
@@ -1521,7 +1386,6 @@ impl Kernel {
         if th.is_halted() {
             return;
         }
-        self.kspan.on_abort(t);
         if th.is_blocked() {
             self.unlink_waiter(t);
         }
@@ -1537,7 +1401,7 @@ impl Kernel {
         th.ipc.role = None;
         let space = th.space;
         self.clear_running_cpu(t);
-        self.ktrace(TraceEvent::Halt { thread: t });
+        self.emit(KEvent::Halt { thread: t });
         self.stats.kmem_delta(-(self.cfg.per_thread_kmem() as i64));
         for j in joiners.drain(&mut self.stats.waitq) {
             self.complete_blocked(j, ErrorCode::Success);
@@ -1577,17 +1441,5 @@ impl Kernel {
     /// Destroy a thread for a fatal error.
     pub(crate) fn kill_thread(&mut self, t: ThreadId, _reason: &'static str) {
         self.halt_thread(t);
-    }
-
-    /// Record a `kspan` causal flow edge for a completed IPC message
-    /// transfer from `from`'s span to `to`'s (adopting the receiver into
-    /// the sender's request where the stitch rule allows). A single
-    /// predictable branch when `kspan` is off.
-    #[inline]
-    pub(crate) fn kspan_stitch(&mut self, from: ThreadId, to: ThreadId) {
-        if self.kspan.enabled {
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.stitch(from, to, now);
-        }
     }
 }

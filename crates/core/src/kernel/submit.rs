@@ -38,12 +38,12 @@ use fluke_api::{ErrorCode, Sys};
 use fluke_arch::Reg;
 
 use crate::ids::{ObjId, ThreadId};
+use crate::kprof::Phase;
 use crate::kstat::FaultSide;
 use crate::object::{BufferedMsg, ObjData};
-use crate::trace::TraceEvent;
 
 use super::mem::PumpFault;
-use super::{Kernel, SysCtx, SysOutcome, SysResult};
+use super::{KEvent, Kernel, SysCtx, SysOutcome, SysResult};
 
 impl Kernel {
     /// `ipc_submit(esi=ring, ecx=count, edx=done)`.
@@ -166,9 +166,7 @@ impl Kernel {
             let (f, off) = self.user_translate(t, buf.wrapping_add(i as u32), false)?;
             *b = self.phys.read_u8(f, off);
         }
-        self.kprof.enter(crate::kprof::Phase::IpcCopy);
-        self.charge(self.cost.copy_byte_per * len as u64);
-        self.kprof.exit();
+        self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * len as u64);
         // Commit order: result word (replay-idempotent), then the
         // irreversible kernel-state change, then the caller's cursor.
         self.submit_write_result(t, base, opflags, ErrorCode::Success)?;
@@ -218,9 +216,7 @@ impl Kernel {
                 let (f, off) = self.user_translate(t, buf.wrapping_add(i), true)?;
                 self.phys.write_u8(f, off, bytes[pos + i as usize]);
             }
-            self.kprof.enter(crate::kprof::Phase::IpcCopy);
-            self.charge(self.cost.copy_byte_per * deliver as u64);
-            self.kprof.exit();
+            self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * deliver as u64);
             let code = if deliver < avail {
                 ErrorCode::Truncated // excess dropped, as in plain one-way
             } else {
@@ -230,8 +226,7 @@ impl Kernel {
             self.submit_write_result(t, base, opflags, code)?;
             self.pop_buffered(port);
             self.stats.ipc_bytes += deliver as u64;
-            self.stats.ipc_messages += 1;
-            self.ktrace(TraceEvent::IpcMessage { thread: t });
+            self.emit(KEvent::IpcMessage { thread: t });
             return Ok(());
         }
         let has_sender = matches!(
@@ -325,18 +320,10 @@ impl Kernel {
                     Ok((rf, ro)) => {
                         self.phys
                             .write_slice(rf, ro, &bytes[pos..pos + chunk as usize]);
-                        self.progress();
-                        self.kprof.enter(crate::kprof::Phase::IpcCopy);
-                        self.charge(self.cost.copy_byte_per * chunk as u64);
-                        self.kprof.exit();
+                        self.copied(current, chunk);
                         self.end_advance_user_recv(rt, chunk);
                         pos += chunk as usize;
                         self.park_buffered_pos(port, pos);
-                        self.stats.ipc_bytes += chunk as u64;
-                        self.ktrace(TraceEvent::IpcTransfer {
-                            thread: current,
-                            bytes: chunk,
-                        });
                     }
                     Err(PumpFault::SoftCross) => {
                         // Resolved inline; retry the chunk (the page is
@@ -368,9 +355,11 @@ impl Kernel {
             }
             // Message fully delivered.
             self.pop_buffered(port);
-            self.stats.ipc_messages += 1;
-            self.ktrace(TraceEvent::IpcMessage { thread: current });
-            self.kspan_stitch(current, rt);
+            self.emit(KEvent::IpcMessage { thread: current });
+            self.emit(KEvent::Flow {
+                from: current,
+                to: rt,
+            });
             self.complete_blocked(rt, ErrorCode::Success);
         }
     }

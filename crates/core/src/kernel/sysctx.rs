@@ -99,9 +99,9 @@ impl SysCtx {
 #[derive(Debug, Clone)]
 pub(crate) struct AuditState {
     /// The audited thread (the dispatch's caller).
-    t: ThreadId,
+    pub(super) t: ThreadId,
     /// The dispatched entrypoint.
-    sys: Sys,
+    pub(super) sys: Sys,
     /// Registers at the last commit point (entry, or later).
     committed: UserRegs,
 }
@@ -169,17 +169,6 @@ impl Kernel {
     /// transition. Counts the hit, then (debug builds) checks the
     /// atomic-API contract.
     pub(crate) fn audit_block_point(&mut self, t: ThreadId, preempted: bool) {
-        // Flowcheck records the dispatched entrypoint at every audited
-        // block so the next re-entry can be validated against its restart
-        // closure; outside a dispatch it clears any stale record.
-        match self.audit.as_ref() {
-            Some(a) if a.t == t => {
-                let sys = a.sys;
-                self.flowcheck_note_block(t, Some(sys));
-            }
-            Some(_) => {}
-            None => self.flowcheck_note_block(t, None),
-        }
         let Some(a) = self.audit.as_ref() else {
             // Not inside an audited dispatch: a user-mode page fault
             // blocking on its keeper. Registers were never touched, so
@@ -261,18 +250,7 @@ impl Kernel {
         // pseudo-registers), same schedulability, and a restart that
         // dispatches the same entrypoint.
         use fluke_api::state::ThreadStateFrame;
-        use fluke_arch::ProgramId;
-        let frame = ThreadStateFrame {
-            regs: th.regs,
-            program: th.program.unwrap_or(ProgramId(u64::MAX)),
-            space_token: th.space_token,
-            priority: th.priority,
-            runnable: match th.state {
-                crate::thread::RunState::Stopped | crate::thread::RunState::Halted => 0,
-                _ => 1,
-            },
-            ipc_phase: th.ipc.conn.map(|_| 1).unwrap_or(0),
-        };
+        let frame = th.state_frame();
         let words = frame.to_words();
         let back = ThreadStateFrame::from_words(&words)
             .unwrap_or_else(|e| panic!("{}: frame unmarshal failed: {e:?}", sys.name()));

@@ -30,13 +30,12 @@
 //! same one `kprof` carries.
 
 use fluke_api::state::ThreadStateFrame;
-use fluke_arch::{ProgramId, UserRegs};
+use fluke_arch::UserRegs;
 
 use crate::ids::ThreadId;
 use crate::kernel::mem::Walk;
-use crate::kernel::{Kernel, LockKey};
+use crate::kernel::{KEvent, Kernel, LockKey};
 use crate::thread::{Body, RunState};
-use crate::trace::TraceEvent;
 
 /// The four adversarial perturbations `kfault` can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -228,10 +227,9 @@ impl Kernel {
         if !kf.arm() {
             return false;
         }
-        self.stats.faults_injected[KfaultKind::Transient.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.emit(KEvent::FaultInjected {
+            kind: KfaultKind::Transient,
             thread: cur,
-            kind: KfaultKind::Transient.index() as u32,
             site,
         });
         true
@@ -243,10 +241,9 @@ impl Kernel {
     /// timeslice.
     fn inject_timer(&mut self, victim: ThreadId, site: u64) {
         self.cur_cpu_mut().resched = true;
-        self.stats.faults_injected[KfaultKind::Timer.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.emit(KEvent::FaultInjected {
+            kind: KfaultKind::Timer,
             thread: victim,
-            kind: KfaultKind::Timer.index() as u32,
             site,
         });
     }
@@ -267,17 +264,7 @@ impl Kernel {
         let frame = {
             let th = self.threads.get_mut(victim.0).expect("current");
             th.kstack_retained = false;
-            ThreadStateFrame {
-                regs: th.regs,
-                program: th.program.unwrap_or(ProgramId(u64::MAX)),
-                space_token: th.space_token,
-                priority: th.priority,
-                runnable: match th.state {
-                    RunState::Stopped | RunState::Halted => 0,
-                    _ => 1,
-                },
-                ipc_phase: th.ipc.conn.map(|_| 1).unwrap_or(0),
-            }
+            th.state_frame()
         };
         let words = frame.to_words();
         let frame = ThreadStateFrame::from_words(&words).expect("own frame round-trips");
@@ -297,15 +284,10 @@ impl Kernel {
         }
         self.cur_cpu_mut().current = None;
         self.sched_push(victim, frame.priority);
-        let now = self.now();
-        // The victim keeps its open span across the round-trip (the frame
-        // is the same request's continuation); it just waits to run again.
-        self.kspan.on_runnable(victim, now);
-        self.kick_parked(now);
-        self.stats.faults_injected[KfaultKind::ExtractRestore.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.kick_parked(self.now());
+        self.emit(KEvent::FaultInjected {
+            kind: KfaultKind::ExtractRestore,
             thread: victim,
-            kind: KfaultKind::ExtractRestore.index() as u32,
             site,
         });
         self.kernel_unlock(LockKey::Sched);
@@ -352,10 +334,9 @@ impl Kernel {
             // Remote CPUs running this space may cache the dropped PTEs.
             self.tlb_shootdown(sid);
         }
-        self.stats.faults_injected[KfaultKind::PageFlush.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.emit(KEvent::FaultInjected {
+            kind: KfaultKind::PageFlush,
             thread: victim,
-            kind: KfaultKind::PageFlush.index() as u32,
             site,
         });
         self.kernel_unlock(key);

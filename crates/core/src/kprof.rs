@@ -190,20 +190,12 @@ impl Kprof {
         self.code &= !(0xf << (4 * self.depth));
     }
 
-    /// Route the next `attr_kernel` charges to the `Lock` bucket
-    /// (`klock_section` acquire/release cost).
+    /// Route the `attr_kernel` charges of a `klock_section` (its
+    /// acquire/release cost) to the `Lock` bucket while `on`.
     #[inline]
-    pub(crate) fn lock_begin(&mut self) {
+    pub(crate) fn lock_section(&mut self, on: bool) {
         if self.enabled {
-            self.in_lock = true;
-        }
-    }
-
-    /// End the `Lock` routing started by [`Kprof::lock_begin`].
-    #[inline]
-    pub(crate) fn lock_end(&mut self) {
-        if self.enabled {
-            self.in_lock = false;
+            self.in_lock = on;
         }
     }
 
@@ -467,9 +459,9 @@ mod tests {
         let mut k = Kprof::new(true);
         k.enter(Phase::Dispatch);
         k.attr_kernel(100, false, 40); // FP surcharge
-        k.lock_begin();
+        k.lock_section(true);
         k.attr_kernel(7, false, 2); // klock_section charge (+ its surcharge)
-        k.lock_end();
+        k.lock_section(false);
         k.exit();
         k.attr_lock(11); // big-lock wait
         assert_eq!(k.self_cycles(&[Phase::Dispatch]), 100);

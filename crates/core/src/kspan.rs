@@ -64,7 +64,7 @@ pub fn frame_name(code: u32) -> String {
 
 /// Which segment of its critical path a span is currently in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seg {
+pub(crate) enum Seg {
     /// On a CPU (running user re-execution or being charged kernel work).
     OnCpu,
     /// Runnable: on a ready queue, waiting for a CPU.
@@ -276,28 +276,14 @@ impl Kspan {
         }
     }
 
-    /// The thread was dispatched onto a CPU.
+    /// The thread entered segment `seg`: dispatched onto a CPU, made
+    /// runnable (wake, unblock, or preemption off CPU), or blocked (which
+    /// also re-stamps an in-place blocked-reason change, closing the old
+    /// wait into its bucket).
     #[inline]
-    pub(crate) fn on_run(&mut self, t: ThreadId, now: Cycles) {
+    pub(crate) fn on_seg(&mut self, t: ThreadId, seg: Seg, now: Cycles) {
         if self.enabled {
-            self.transition(t, Seg::OnCpu, now);
-        }
-    }
-
-    /// The thread became runnable (wake, unblock, or preemption off CPU).
-    #[inline]
-    pub(crate) fn on_runnable(&mut self, t: ThreadId, now: Cycles) {
-        if self.enabled {
-            self.transition(t, Seg::Runnable, now);
-        }
-    }
-
-    /// The thread blocked for `reason` (also re-stamps an in-place
-    /// blocked-reason change, closing the old wait into its bucket).
-    #[inline]
-    pub(crate) fn on_block(&mut self, t: ThreadId, reason: WaitReason, now: Cycles) {
-        if self.enabled {
-            self.transition(t, Seg::Blocked(reason), now);
+            self.transition(t, seg, now);
         }
     }
 
@@ -639,7 +625,7 @@ mod tests {
     fn disabled_layer_does_nothing() {
         let mut k = Kspan::new(false);
         k.on_enter(T0, "sys_null", 10);
-        k.on_block(T0, WaitReason::Sleep, 20);
+        k.on_seg(T0, Seg::Blocked(WaitReason::Sleep), 20);
         k.on_close(T0, 30);
         k.on_abort(T0);
         assert_eq!(k.open_count(), 0);
@@ -651,9 +637,9 @@ mod tests {
     fn decomposition_telescopes_exactly() {
         let mut k = Kspan::new(true);
         k.on_enter(T0, "sys_ipc_client_send", 100);
-        k.on_block(T0, WaitReason::IpcSend(ConnId(3)), 140); // 40 on-CPU
-        k.on_runnable(T0, 200); // 60 blocked on IPC
-        k.on_run(T0, 230); // 30 runnable
+        k.on_seg(T0, Seg::Blocked(WaitReason::IpcSend(ConnId(3))), 140); // 40 on-CPU
+        k.on_seg(T0, Seg::Runnable, 200); // 60 blocked on IPC
+        k.on_seg(T0, Seg::OnCpu, 230); // 30 runnable
         k.on_close(T0, 250); // 20 on-CPU
         let recs = k.completed();
         assert_eq!(recs.len(), 1);
@@ -690,9 +676,9 @@ mod tests {
     fn restart_continues_the_same_span() {
         let mut k = Kspan::new(true);
         k.on_enter(T0, "sys_mutex_lock", 0);
-        k.on_block(T0, WaitReason::Mutex(ObjId(7)), 10);
-        k.on_runnable(T0, 50);
-        k.on_run(T0, 60);
+        k.on_seg(T0, Seg::Blocked(WaitReason::Mutex(ObjId(7))), 10);
+        k.on_seg(T0, Seg::Runnable, 50);
+        k.on_seg(T0, Seg::OnCpu, 60);
         // The restarted call re-enters the kernel: same span.
         k.on_enter(T0, "sys_mutex_lock", 60);
         assert_eq!(k.open_count(), 1);
@@ -709,9 +695,9 @@ mod tests {
     fn blocked_reason_restamp_splits_the_wait() {
         let mut k = Kspan::new(true);
         k.on_enter(T0, "sys_ipc_send_wait_receive", 0);
-        k.on_block(T0, WaitReason::IpcSend(ConnId(1)), 10);
+        k.on_seg(T0, Seg::Blocked(WaitReason::IpcSend(ConnId(1))), 10);
         // In-place transition to waiting for the reply.
-        k.on_block(T0, WaitReason::IpcReceive(ConnId(1)), 30);
+        k.on_seg(T0, Seg::Blocked(WaitReason::IpcReceive(ConnId(1))), 30);
         k.on_close(T0, 100);
         let r = &k.completed()[0];
         assert_eq!(r.blocked_ipc, 90);
@@ -755,7 +741,7 @@ mod tests {
     fn abort_terminates_without_recording() {
         let mut k = Kspan::new(true);
         k.on_enter(T0, "sys_thread_sleep", 0);
-        k.on_block(T0, WaitReason::Sleep, 10);
+        k.on_seg(T0, Seg::Blocked(WaitReason::Sleep), 10);
         k.on_abort(T0);
         assert_eq!(k.open_count(), 0);
         assert_eq!(k.aborted(), 1);
@@ -769,10 +755,10 @@ mod tests {
     fn clock_skew_is_clamped_and_still_sums() {
         let mut k = Kspan::new(true);
         k.on_enter(T0, "sys_null", 100);
-        k.on_block(T0, WaitReason::Sleep, 150);
+        k.on_seg(T0, Seg::Blocked(WaitReason::Sleep), 150);
         // A wake stamped by a CPU whose clock lags the blocker's.
-        k.on_runnable(T0, 120);
-        k.on_run(T0, 180);
+        k.on_seg(T0, Seg::Runnable, 120);
+        k.on_seg(T0, Seg::OnCpu, 180);
         k.on_close(T0, 200);
         let r = &k.completed()[0];
         assert_eq!(r.decomposed(), r.e2e());
@@ -802,10 +788,10 @@ mod tests {
     fn top_contended_orders_by_wait_cycles() {
         let mut k = Kspan::new(true);
         k.on_enter(T0, "a", 0);
-        k.on_block(T0, WaitReason::Mutex(ObjId(1)), 0);
-        k.on_runnable(T0, 100);
-        k.on_block(T0, WaitReason::Mutex(ObjId(2)), 100);
-        k.on_runnable(T0, 130);
+        k.on_seg(T0, Seg::Blocked(WaitReason::Mutex(ObjId(1))), 0);
+        k.on_seg(T0, Seg::Runnable, 100);
+        k.on_seg(T0, Seg::Blocked(WaitReason::Mutex(ObjId(2))), 100);
+        k.on_seg(T0, Seg::Runnable, 130);
         k.on_close(T0, 130);
         let top = k.top_contended(2);
         assert_eq!(top[0].0, "mutex_1");

@@ -13,6 +13,7 @@ use fluke_api::ObjType;
 
 use crate::ids::{ConnId, ObjId, SpaceId, ThreadId};
 use crate::phys::FrameId;
+use crate::thread::WaitReason;
 use crate::waitq::WaitQueue;
 
 /// A one-way message buffered in the kernel on a port, queued by the
@@ -126,6 +127,31 @@ pub enum ObjData {
 }
 
 impl ObjData {
+    /// The queue in this object that a thread blocked for `reason` sits
+    /// on, if any.
+    pub(crate) fn wait_queue(&mut self, reason: WaitReason) -> Option<&mut WaitQueue<ThreadId>> {
+        Some(match (self, reason) {
+            (ObjData::Mutex { waiters, .. }, WaitReason::Mutex(_)) => waiters,
+            (ObjData::Cond { waiters }, WaitReason::Cond(_)) => waiters,
+            (ObjData::Port { server_q: q, .. }, WaitReason::PortWait(_)) => q,
+            (ObjData::Pset { server_q: q, .. }, WaitReason::PsetWait(_)) => q,
+            (
+                ObjData::Port {
+                    oneway_senders: q, ..
+                },
+                WaitReason::OnewaySend(_),
+            ) => q,
+            (
+                ObjData::Port {
+                    oneway_receivers: q,
+                    ..
+                },
+                WaitReason::OnewayReceive(_),
+            ) => q,
+            _ => return None,
+        })
+    }
+
     /// Fresh payload for a newly created object of type `ty`.
     /// `Mapping`, `Region`, `Space` and `Thread` carry parameters and are
     /// constructed explicitly by their create handlers.

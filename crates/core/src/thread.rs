@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use fluke_api::state::ThreadStateFrame;
 use fluke_api::Sys;
 use fluke_arch::cost::Cycles;
 use fluke_arch::{Program, ProgramId, UserRegs};
@@ -260,6 +261,22 @@ pub struct Thread {
 }
 
 impl Thread {
+    /// The thread's exportable state frame, as `thread_get_state`
+    /// marshals it.
+    pub fn state_frame(&self) -> ThreadStateFrame {
+        ThreadStateFrame {
+            regs: self.regs,
+            program: self.program.unwrap_or(ProgramId(u64::MAX)),
+            space_token: self.space_token,
+            priority: self.priority,
+            runnable: match self.state {
+                RunState::Stopped | RunState::Halted => 0,
+                _ => 1,
+            },
+            ipc_phase: self.ipc.conn.map(|_| 1).unwrap_or(0),
+        }
+    }
+
     /// Create a stopped user thread with zeroed registers.
     pub fn new_user(id: ThreadId) -> Self {
         Thread {
