@@ -375,6 +375,10 @@ pub trait Snap: Sized {
 /// * `enum Name as "what" { 0 => Unit, 1 => Tuple(a, b), 2 => Named { x } }`:
 ///   a `u8` tag, then the variant's fields in order. An unknown tag decodes
 ///   to [`SnapError::BadTag`] naming `what`.
+/// * `numbered Name as "what": u8, |x| encode, |n| decode`: a type stored
+///   as its own number. `encode` maps `x: &Name` to the `u8` (or `u32`)
+///   written; `decode` maps the number read back to `Option<Name>`, and
+///   `None` decodes to [`SnapError::BadTag`] naming `what`.
 /// * `(A, B, C)`: a tuple of `Snap` types.
 /// * `fields Name(encode, decode) { .. }`: the struct form emitted as two
 ///   private inherent methods rather than a `Snap` impl, for a type whose
@@ -432,6 +436,24 @@ macro_rules! snap_codec {
                             tag: t as u32,
                         })
                     }
+                })
+            }
+        }
+    };
+    (numbered $ty:ident as $what:literal: $width:ident,
+        |$x:ident| $enc:expr, |$n:ident| $dec:expr $(,)?) => {
+        impl $crate::krec::Snap for $ty {
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                let $x = self;
+                w.$width($enc);
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                let $n = r.$width()?;
+                $dec.ok_or($crate::krec::SnapError::BadTag {
+                    what: $what,
+                    tag: u32::from($n),
                 })
             }
         }
@@ -649,17 +671,8 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
 // Arch + API types
 // ---------------------------------------------------------------------------
 
-impl Snap for Reg {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(*self as u8);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let t = r.u8()?;
-        Reg::ALL.get(t as usize).copied().ok_or(SnapError::BadTag {
-            what: "reg",
-            tag: t as u32,
-        })
-    }
+snap_codec! {
+    numbered Reg as "reg": u8, |x| *x as u8, |t| Reg::ALL.get(t as usize).copied()
 }
 
 snap_codec! {
@@ -768,59 +781,21 @@ snap_codec! {
     }
 }
 
-impl Snap for Sys {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.num());
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.u32()?;
-        Sys::from_u32(n).ok_or(SnapError::BadTag {
-            what: "sys",
-            tag: n,
-        })
-    }
+snap_codec! {
+    numbered Sys as "sys": u32, |x| x.num(), |n| Sys::from_u32(n)
 }
 
-impl Snap for SysClass {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(self.index() as u8);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let t = r.u8()?;
-        SysClass::ALL
-            .get(t as usize)
-            .copied()
-            .ok_or(SnapError::BadTag {
-                what: "sysclass",
-                tag: t as u32,
-            })
-    }
+snap_codec! {
+    numbered SysClass as "sysclass": u8, |x| x.index() as u8,
+    |t| SysClass::ALL.get(t as usize).copied()
 }
 
-impl Snap for ObjType {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u32(*self as u32);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.u32()?;
-        ObjType::from_u32(n).ok_or(SnapError::BadTag {
-            what: "objtype",
-            tag: n,
-        })
-    }
+snap_codec! {
+    numbered ObjType as "objtype": u32, |x| *x as u32, |n| ObjType::from_u32(n)
 }
 
-impl Snap for ErrorCode {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u32(*self as u32);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.u32()?;
-        ErrorCode::from_u32(n).ok_or(SnapError::BadTag {
-            what: "errorcode",
-            tag: n,
-        })
-    }
+snap_codec! {
+    numbered ErrorCode as "errorcode": u32, |x| *x as u32, |n| ErrorCode::from_u32(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -846,20 +821,9 @@ snap_codec! {
     struct TraceConfig { enabled, ring_capacity }
 }
 
-impl Snap for KfaultKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(self.index() as u8);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let t = r.u8()?;
-        KfaultKind::ALL
-            .get(t as usize)
-            .copied()
-            .ok_or(SnapError::BadTag {
-                what: "kfaultkind",
-                tag: t as u32,
-            })
-    }
+snap_codec! {
+    numbered KfaultKind as "kfaultkind": u8, |x| x.index() as u8,
+    |t| KfaultKind::ALL.get(t as usize).copied()
 }
 
 snap_codec! {
