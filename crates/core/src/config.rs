@@ -106,8 +106,8 @@ pub const PP_CHUNK_BYTES: u32 = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Whether kernel events are recorded. Off by default: a disabled
-    /// tracer costs one predictable branch per emission site and
-    /// allocates nothing.
+    /// tracer costs one branch per traced `KEvent` in `Kernel::emit` (the
+    /// observer spine) and allocates nothing.
     pub enabled: bool,
     /// Per-CPU ring capacity in records; overflow drops the oldest
     /// records and counts them.
@@ -144,24 +144,26 @@ pub struct Config {
     /// Kernel tracing (`ktrace`) knob.
     pub trace: TraceConfig,
     /// Cycle-attribution profiling (`kprof`) knob. Off by default: a
-    /// disabled profiler costs one predictable branch per hook and never
-    /// perturbs simulated quantities either way (the attribution reads
-    /// the same charges the kernel makes regardless).
+    /// disabled profiler costs one branch per clock-advance event in
+    /// `Kernel::emit`, and never perturbs simulated quantities either
+    /// way (the attribution reads the same charges the kernel makes
+    /// regardless).
     pub kprof: bool,
     /// Causal request tracing and critical-path attribution (`kspan`)
-    /// knob. Off by default: a disabled layer costs one predictable
-    /// branch per hook; enabled, it observes the same simulated clocks
-    /// and transitions the kernel performs regardless, so runs are
-    /// bit-identical either way (the golden-digest proof obligation).
+    /// knob. Off by default: a disabled layer costs one branch per
+    /// transition event in `Kernel::emit`; enabled, it observes the same
+    /// simulated clocks and transitions the kernel performs regardless,
+    /// so runs are bit-identical either way (the golden-digest proof
+    /// obligation).
     pub kspan: bool,
     /// Syscall-flow integrity checking (`flowcheck`) knob. Off by
-    /// default: a disabled checker costs one predictable branch per
-    /// syscall completion. Enabled, it shadows every object lifecycle
-    /// (create → use → move → destroy, per the `SysDesc`-derived flow
-    /// graph) and every blocked call's restart re-entry against
-    /// `fluke_api::flow`, recording violations as structured data on the
-    /// host side — it never changes simulated state, charges, or
-    /// results, so runs are bit-identical either way.
+    /// default: a disabled checker costs one branch in the syscall entry,
+    /// exit and block events of `Kernel::emit`. Enabled, it shadows every
+    /// object lifecycle (create → use → move → destroy, per the
+    /// `SysDesc`-derived flow graph) and every blocked call's restart
+    /// re-entry against `fluke_api::flow`, recording violations as
+    /// structured data on the host side — it never changes simulated
+    /// state, charges, or results, so runs are bit-identical either way.
     pub flowcheck: bool,
     /// Use the software-TLB + page-run bulk memory fast path (host-side
     /// only: simulated cycle charges, traces and stats are bit-identical

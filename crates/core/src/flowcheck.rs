@@ -95,7 +95,8 @@ type ShadowState = Option<ObjType>;
 /// The flow-integrity checker's host-side state (`Config::with_flowcheck`).
 #[derive(Debug, Default, Clone)]
 pub struct Flowcheck {
-    /// Whether checking is enabled (`cfg.flowcheck`).
+    /// Whether checking is enabled (`cfg.flowcheck`); `Kernel::emit`
+    /// calls the hooks only while it is set.
     pub on: bool,
     /// Shadow lifecycle map, keyed by physical location.
     shadow: BTreeMap<Loc, ShadowState>,
@@ -183,9 +184,6 @@ impl Flowcheck {
         t: ThreadId,
         code: ErrorCode,
     ) {
-        if !self.on {
-            return;
-        }
         self.blocked.remove(&t.0);
         let Some(th) = threads.get(t.0).filter(|_| code == ErrorCode::Success) else {
             return;
@@ -221,7 +219,6 @@ impl Flowcheck {
     /// syscall continuation.
     pub(crate) fn on_block(&mut self, t: ThreadId, audited: Option<(ThreadId, Sys)>) {
         match audited {
-            _ if !self.on => {}
             Some((caller, sys)) if caller == t => {
                 self.blocked.insert(t.0, sys);
             }
@@ -236,9 +233,6 @@ impl Flowcheck {
     /// block must re-enter inside the recorded entrypoint's restart
     /// closure. Fresh entries clear any stale record.
     pub(crate) fn on_entry(&mut self, threads: &Arena<Thread>, t: ThreadId, restarting: bool) {
-        if !self.on {
-            return;
-        }
         if !restarting {
             self.blocked.remove(&t.0);
             return;

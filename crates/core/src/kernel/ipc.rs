@@ -551,6 +551,7 @@ impl Kernel {
     /// The copy epilogue shared by every IPC data path: `bytes` new bytes
     /// moved for `thread`'s transfer, so the rollback window closes; the
     /// copy is charged under kprof's `IpcCopy` phase.
+    #[inline]
     pub(crate) fn copied(&mut self, thread: ThreadId, bytes: u32) {
         self.progress();
         self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * bytes as u64);

@@ -1120,6 +1120,7 @@ impl Kernel {
     }
 
     /// [`Kernel::charge`] with kprof phase `p` pushed for the charge.
+    #[inline]
     pub(crate) fn charge_in(&mut self, p: Phase, c: Cycles) {
         self.emit(KEvent::Enter(p));
         self.charge(c);
@@ -1150,6 +1151,7 @@ impl Kernel {
 
     /// One kernel-object operation costing `c`: its lock section (under
     /// full preemption), the charge, and then new work begins.
+    #[inline]
     pub(crate) fn locked_op(&mut self, c: Cycles) {
         self.klock_section();
         self.charge(c);

@@ -13,6 +13,7 @@
 //! observer needs an earlier instant (kspan's runnable edge before a
 //! run-queue lock advanced the clock), the event carries that time.
 
+use fluke_api::abi::ARG_COUNT;
 use fluke_api::{ErrorCode, Sys};
 use fluke_arch::cost::Cycles;
 use fluke_arch::Reg;
@@ -177,7 +178,7 @@ impl Kernel {
             ..
         } = self;
         let (threads, spaces) = (&*threads, &*spaces);
-        let eax = |t: ThreadId| threads.get(t.0).map(|th| th.regs.get(Reg::Eax));
+        let reg = |t: ThreadId, r: Reg| threads.get(t.0).map(|th| th.regs.get(r));
         match ev {
             KEvent::Charge { base, lock_extra } => {
                 let c = base + lock_extra;
@@ -241,7 +242,9 @@ impl Kernel {
             KEvent::User { thread, cycles } => {
                 stats.user_cycles += cycles;
                 kprof.attr_user(cycles);
-                kspan.on_user(thread, cycles);
+                if kspan.enabled {
+                    kspan.on_user(thread, cycles);
+                }
             }
             KEvent::Progress => {
                 if trace.enabled && trace.pending_rollback > 0 {
@@ -252,18 +255,19 @@ impl Kernel {
                 }
             }
             KEvent::SyscallEnter { thread, restarting } => {
-                flowcheck.on_entry(threads, thread, restarting);
-                if restarting {
-                    stats.restarts += 1;
+                if flowcheck.on {
+                    flowcheck.on_entry(threads, thread, restarting);
                 }
-                // A restarted entrypoint continues the open request;
-                // `on_enter` only opens a span when none is active.
-                let sys = eax(thread).expect("entering thread");
+                stats.restarts += restarting as u64;
+                let sys = || reg(thread, Reg::Eax).expect("entering thread");
                 if kspan.enabled {
-                    let name = Sys::from_u32(sys).map_or("invalid", |s| s.name());
+                    // A restarted entrypoint continues the open request;
+                    // `on_enter` only opens a span when none is active.
+                    let name = Sys::from_u32(sys()).map_or("invalid", |s| s.name());
                     kspan.on_enter(thread, name, now);
                 }
                 if trace.enabled {
+                    let sys = sys();
                     let class = Sys::from_u32(sys).map(|s| s.class());
                     let ev = if restarting {
                         TraceEvent::SyscallRestart { thread, sys, class }
@@ -278,25 +282,31 @@ impl Kernel {
                 code,
                 in_place,
             } => {
-                if in_place {
+                if in_place && kspan.enabled {
                     kspan.on_close(thread, now);
                 }
-                flowcheck.on_exit(threads, spaces, thread, code);
-                if let (true, Some(sys)) = (trace.enabled, eax(thread)) {
-                    let class = Sys::from_u32(sys).map(|s| s.class());
-                    let code = code as u32;
-                    trace.emit(
-                        cpu,
-                        now,
-                        TraceEvent::SyscallExit {
+                if flowcheck.on {
+                    flowcheck.on_exit(threads, spaces, thread, code);
+                }
+                // A thread gone from the arena completes untraced.
+                if trace.enabled {
+                    if let Some(sys) = reg(thread, Reg::Eax) {
+                        let class = Sys::from_u32(sys).map(|s| s.class());
+                        let code = code as u32;
+                        let ev = TraceEvent::SyscallExit {
                             thread,
                             code,
                             class,
-                        },
-                    );
+                        };
+                        trace.emit(cpu, now, ev);
+                    }
                 }
             }
-            KEvent::Returned { thread } => kspan.on_close(thread, now),
+            KEvent::Returned { thread } => {
+                if kspan.enabled {
+                    kspan.on_close(thread, now);
+                }
+            }
             KEvent::CtxSwitch {
                 thread,
                 space_switch,
@@ -320,7 +330,9 @@ impl Kernel {
             KEvent::Block { thread, reason } => {
                 kspan.on_seg(thread, Seg::Blocked(reason), now);
                 trace.emit(cpu, now, TraceEvent::Block { thread });
-                flowcheck.on_block(thread, audited);
+                if flowcheck.on {
+                    flowcheck.on_block(thread, audited);
+                }
             }
             KEvent::Reblock { thread, reason } => kspan.on_seg(thread, Seg::Blocked(reason), now),
             KEvent::Wake { thread, at } => {
@@ -332,7 +344,9 @@ impl Kernel {
                 kspan.on_seg(thread, Seg::Runnable, at);
                 stats.kernel_preemptions += 1;
                 trace.emit(cpu, now, TraceEvent::KernelPreempt { thread });
-                flowcheck.on_block(thread, audited);
+                if flowcheck.on {
+                    flowcheck.on_block(thread, audited);
+                }
             }
             KEvent::UserPreempt { thread, at } => {
                 kspan.on_seg(thread, Seg::Runnable, at);
@@ -345,14 +359,14 @@ impl Kernel {
             }
             KEvent::Abort { thread } => kspan.on_abort(thread),
             KEvent::IpcSend { thread } => {
-                if let (true, Some(th)) = (trace.enabled, threads.get(thread.0)) {
-                    let bytes = th.regs.get(fluke_api::abi::ARG_COUNT);
+                if trace.enabled {
+                    let bytes = reg(thread, ARG_COUNT).expect("sending thread");
                     trace.emit(cpu, now, TraceEvent::IpcSend { thread, bytes });
                 }
             }
             KEvent::IpcReceive { thread } => {
-                if let (true, Some(th)) = (trace.enabled, threads.get(thread.0)) {
-                    let window = th.regs.get(fluke_api::abi::ARG_COUNT);
+                if trace.enabled {
+                    let window = reg(thread, ARG_COUNT).expect("receiving thread");
                     trace.emit(cpu, now, TraceEvent::IpcReceive { thread, window });
                 }
             }
@@ -364,7 +378,11 @@ impl Kernel {
                 stats.ipc_messages += 1;
                 trace.emit(cpu, now, TraceEvent::IpcMessage { thread });
             }
-            KEvent::Flow { from, to } => kspan.stitch(from, to, now),
+            KEvent::Flow { from, to } => {
+                if kspan.enabled {
+                    kspan.stitch(from, to, now);
+                }
+            }
             KEvent::SoftFault {
                 thread,
                 addr,

@@ -8,9 +8,10 @@
 //! *simulated* clock (never host time), so profiles are bit-deterministic,
 //! and the hooks touch only profiler state: with `kprof` enabled, every
 //! simulated quantity — cycle charges, traces, stats — is unchanged (the
-//! zero-perturbation golden-digest test enforces this). Disabled, each
-//! hook is a single predictable branch and nothing is allocated beyond
-//! the empty struct.
+//! zero-perturbation golden-digest test enforces this). The kernel calls
+//! these hooks only from `Kernel::emit`, the observer spine. Disabled,
+//! each hook is a single predictable branch and nothing is allocated
+//! beyond the empty struct.
 //!
 //! The kernel keeps a phase *stack* while it works; the current path is
 //! packed into a `u32` (4 bits per level), so entering/leaving a phase

@@ -30,8 +30,9 @@
 //! `kernel.contention.*` kstat counters — the explanatory variable the
 //! per-CPU-scheduling roadmap item needs.
 //!
-//! Everything here is host-side observation: hooks read the simulated
-//! clock and mutate only this struct, never a simulated quantity. With
+//! Everything here is host-side observation: the hooks, called only from
+//! `Kernel::emit` (the observer spine), read the simulated clock and
+//! mutate only this struct, never a simulated quantity. With
 //! `kspan` disabled every hook is a single predictable branch; enabled,
 //! runs are bit-identical to the blessed golden trace digests (the
 //! zero-perturbation proof obligation, enforced in the bench tests).

@@ -340,7 +340,7 @@ impl Tracer {
     }
 
     /// Record an event; one predictable branch when tracing is off.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn emit(&mut self, cpu: usize, at: Cycles, event: TraceEvent) {
         if self.enabled {
             self.rings[cpu].push(at, cpu as u32, event);
