@@ -1151,7 +1151,7 @@ impl Kernel {
 
     /// One kernel-object operation costing `c`: its lock section (under
     /// full preemption), the charge, and then new work begins.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn locked_op(&mut self, c: Cycles) {
         self.klock_section();
         self.charge(c);

@@ -184,7 +184,9 @@ impl Kernel {
                 let c = base + lock_extra;
                 stats.klock_cycles += lock_extra;
                 stats.kernel_cycles += c;
-                kprof.attr_kernel(base, rollback, lock_extra);
+                if kprof.enabled {
+                    kprof.attr_kernel(base, rollback, lock_extra);
+                }
                 if let (true, Some(t)) = (kspan.enabled, cur) {
                     let path = kprof.current_code(rollback);
                     kspan.on_charge(t, path, base, lock_extra);
@@ -221,7 +223,7 @@ impl Kernel {
                 if let Some(LockKey::RunQueue(_)) = key {
                     stats.runq_wait_cycles += cycles;
                     stats.runq_waits += 1;
-                } else {
+                } else if kspan.enabled {
                     kspan.on_lock_wait(cur, key.map_or("klock", LockKey::class), cycles);
                 }
             }
@@ -235,7 +237,9 @@ impl Kernel {
                 sends,
             } => {
                 stats.kernel_cycles += acks;
-                kprof.attr_kernel(acks, false, 0);
+                if kprof.enabled {
+                    kprof.attr_kernel(acks, false, 0);
+                }
                 stats.tlb_shootdown_ipis += remotes;
                 stats.tlb_shootdown_cycles += sends + acks;
             }
