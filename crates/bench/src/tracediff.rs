@@ -66,12 +66,87 @@ pub fn run_traced_flukeperf(cfg: Config, scale: Scale) -> Kernel {
     run_keep_kernel(run, 8_000_000_000)
 }
 
+/// Label and configuration of the golden row that pins cross-CPU TLB
+/// shootdown (run by [`run_traced_shootdown`], not flukeperf).
+pub fn shootdown_golden_row() -> (String, Config) {
+    (
+        "Process_PP_4cpu_shootdown".into(),
+        Config::process_pp().with_cpus(4),
+    )
+}
+
+/// Four reader threads of one space share the machine's four CPUs with a
+/// protector thread of the same space, which repeatedly write-protects
+/// and unprotects a page they read (`region_protect`). Every downgrade
+/// must invalidate the remote TLBs. The readers also contend on one
+/// mutex, so blocks, cross-CPU wakes, steals and preemptions interleave
+/// with the shootdowns. The run exercises `Kernel::tlb_shootdown` under
+/// `cfg` with tracing on; the kernel is returned with its full trace.
+///
+/// # Panics
+///
+/// Panics if a thread fails to halt within the cycle budget.
+pub fn run_traced_shootdown(cfg: Config) -> Kernel {
+    use fluke_api::abi::{ARG_COUNT, ARG_HANDLE, ARG_SBUF, ARG_VAL, PAGE_SIZE};
+    use fluke_api::{ObjType, Sys};
+    use fluke_arch::{Assembler, Cond, Reg};
+    use fluke_user::proc::{run_to_halt, ChildProc};
+    use fluke_user::FlukeAsm;
+
+    let mut k = Kernel::new(cfg.with_tracing(DIFF_RING_CAPACITY));
+    let mut p = ChildProc::new(&mut k);
+    let region = p.alloc_obj();
+    let mutex = p.alloc_obj();
+    k.loader_create(p.space, mutex, ObjType::Mutex);
+    let shared = p.mem_base + 4 * PAGE_SIZE;
+
+    let mut a = Assembler::new("protector");
+    a.movi(ARG_HANDLE, region);
+    a.movi(ARG_COUNT, PAGE_SIZE);
+    a.movi(ARG_VAL, shared);
+    a.movi(ARG_SBUF, 0);
+    a.sys(Sys::RegionCreate);
+    a.movi(Reg::Ecx, 60);
+    a.label("top");
+    a.compute(1_000);
+    a.sys_hv(Sys::RegionProtect, region, 0);
+    a.sys_hv(Sys::RegionProtect, region, 1);
+    a.subi(Reg::Ecx, 1);
+    a.cmpi(Reg::Ecx, 0);
+    a.jcc(Cond::Ne, "top");
+    a.halt();
+    let mut threads = vec![p.start(&mut k, a.finish(), 8)];
+
+    for i in 0..4 {
+        let mut a = Assembler::new(format!("reader{i}"));
+        a.movi(Reg::Edi, 200);
+        a.label("top");
+        a.movi(Reg::Ebp, shared);
+        a.load(Reg::Esi, Reg::Ebp, 4 * i);
+        a.compute(300);
+        a.mutex_lock(mutex);
+        a.compute(40);
+        a.mutex_unlock(mutex);
+        a.subi(Reg::Edi, 1);
+        a.cmpi(Reg::Edi, 0);
+        a.jcc(Cond::Ne, "top");
+        a.halt();
+        threads.push(p.start(&mut k, a.finish(), 8));
+    }
+    assert!(
+        run_to_halt(&mut k, &threads, 1_000_000_000),
+        "shootdown workload did not finish"
+    );
+    k
+}
+
 /// The configurations pinned by `tests/golden/ktrace_digests.txt`, each
 /// with its golden label: the four uniprocessor NP/PP rows, plus
-/// multiprocessor rows that exercise fine-grained lock waits, idle
-/// parking and TLB shootdown (Process PP on 4 CPUs), the big-lock oracle
-/// (the same with `with_big_lock(true)`), and the full-preemption
-/// surcharge across CPUs (Process FP on 2 CPUs).
+/// multiprocessor rows that exercise fine-grained lock waits and idle
+/// parking (Process PP on 4 CPUs), the big-lock oracle (the same with
+/// `with_big_lock(true)`), and the full-preemption surcharge across CPUs
+/// (Process FP on 2 CPUs). flukebench never shoots down a TLB; the
+/// shootdown row is [`shootdown_golden_row`].
 pub fn golden_configs() -> Vec<(String, Config)> {
     let mut out: Vec<(String, Config)> = [
         Config::process_np(),

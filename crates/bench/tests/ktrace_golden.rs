@@ -6,7 +6,8 @@
 //! restart, and rollback exactly where it was. This test runs the
 //! traced `flukeperf` workload under both execution models (and both
 //! NP/PP preemption styles), plus multiprocessor rows that pin the
-//! lock-wait, idle and shootdown paths, and compares a canonical FNV-1a digest of
+//! lock-wait and idle paths, and a 4-CPU row of its own that pins
+//! cross-CPU TLB shootdown; it compares a canonical FNV-1a digest of
 //! the merged trace against digests blessed *before* the refactor.
 //!
 //! To re-bless after an intentional behavioral change:
@@ -19,7 +20,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use fluke_bench::tracediff::{
-    golden_configs, golden_digest_path, golden_digests, run_traced_flukeperf, trace_digest,
+    golden_configs, golden_digest_path, golden_digests, run_traced_flukeperf, run_traced_shootdown,
+    shootdown_golden_row, trace_digest,
 };
 use fluke_bench::Scale;
 
@@ -32,6 +34,14 @@ fn raw_ktrace_digests_match_blessed_goldens() {
         assert_eq!(k.trace.dropped_total(), 0, "{label}: trace overflowed");
         current.insert(label, trace_digest(&k));
     }
+    let (label, cfg) = shootdown_golden_row();
+    let k = run_traced_shootdown(cfg);
+    assert_eq!(k.trace.dropped_total(), 0, "{label}: trace overflowed");
+    assert!(
+        k.stats.tlb_shootdown_ipis > 0,
+        "{label}: the row must shoot down remote TLBs"
+    );
+    current.insert(label, trace_digest(&k));
 
     if bless {
         let mut text = String::from(

@@ -10,7 +10,10 @@
 //! wakeup, or a preemption decision, the first shifted timestamp fails
 //! the comparison.
 
-use fluke_bench::tracediff::{golden_configs, golden_digests, run_traced_flukeperf, trace_digest};
+use fluke_bench::tracediff::{
+    golden_configs, golden_digests, run_traced_flukeperf, run_traced_shootdown,
+    shootdown_golden_row, trace_digest,
+};
 use fluke_bench::Scale;
 
 #[test]
@@ -48,4 +51,23 @@ fn instrumented_runs_match_uninstrumented_golden_digests() {
             got.0, got.1, want.0, want.1
         );
     }
+}
+
+/// The shootdown row with kprof on: the `Shootdown` event's kprof and
+/// Stats fan-out must leave the trace bit-identical too.
+#[test]
+fn instrumented_shootdown_run_matches_uninstrumented_golden_digest() {
+    let (label, cfg) = shootdown_golden_row();
+    let k = run_traced_shootdown(cfg.with_kprof());
+    assert_eq!(
+        k.kprof.total(),
+        k.total_cpu_cycles(),
+        "{label}: kprof attribution incomplete"
+    );
+    assert!(k.stats.tlb_shootdown_ipis > 0, "{label}: no shootdown");
+    assert_eq!(
+        Some(&trace_digest(&k)),
+        golden_digests().get(&label),
+        "{label}: enabling kstat/kprof perturbed the simulation"
+    );
 }
