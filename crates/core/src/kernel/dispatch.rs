@@ -28,10 +28,10 @@ use fluke_arch::Reg;
 use crate::config::Preemption;
 use crate::ids::{ObjId, ThreadId};
 use crate::object::ObjData;
-use crate::thread::{IpcRole, RunState, WaitReason};
+use crate::thread::{IpcRole, WaitReason};
 
 use super::ipc::AfterSend;
-use super::{KEvent, Kernel, SysCtx, SysOutcome, SysResult};
+use super::{Enqueue, KEvent, Kernel, SysCtx, SysOutcome, SysResult, To};
 
 /// One system-call handler: a row of [`HANDLERS`]. Handlers receive the
 /// kernel and the dispatch context; every register access and every
@@ -309,22 +309,9 @@ impl Kernel {
                 ObjData::Space(sid)
             }
             ObjType::Thread => {
-                let caller_space = self.threads.get(t.0).and_then(|x| x.space);
-                let id = ThreadId(
-                    self.threads
-                        .insert(crate::thread::Thread::new_user(ThreadId(0))),
-                );
-                let th = self.threads.get_mut(id.0).unwrap();
-                th.id = id;
-                th.space = caller_space;
-                self.stats.threads_created += 1;
-                self.stats.kmem_delta(self.cfg.per_thread_kmem() as i64);
-                if let Some(sid) = caller_space {
-                    if let Some(s) = self.spaces.get_mut(sid.0) {
-                        s.threads.push(id);
-                    }
-                }
-                ObjData::Thread(id)
+                let mut th = crate::thread::Thread::new_user(ThreadId(0));
+                th.space = self.threads.get(t.0).and_then(|x| x.space);
+                ObjData::Thread(self.add_thread(th))
             }
             _ => ObjData::new_simple(ty).expect("simple type"),
         };
@@ -781,20 +768,11 @@ impl Kernel {
         // open request the target carried ends here: the installed frame
         // starts a fresh one at its next kernel entry.
         self.emit(KEvent::Abort { thread: tid });
-        self.unlink_waiter(tid);
-        {
-            let th = self
-                .threads
-                .get_mut(tid.0)
-                .ok_or(Self::fail(ErrorCode::InvalidHandle))?;
-            if th.is_ready() {
-                self.sched_remove(tid);
-            }
-        }
-        let old_conn = {
-            let th = self.threads.get_mut(tid.0).unwrap();
-            th.ipc.conn.take()
+        let Some(th) = self.threads.get_mut(tid.0) else {
+            return Err(Self::fail(ErrorCode::InvalidHandle));
         };
+        let old_conn = th.ipc.conn.take();
+        self.transition(tid, To::Stopped);
         if let Some(c) = old_conn {
             self.disconnect(c, ErrorCode::PeerDisconnected);
         }
@@ -815,21 +793,8 @@ impl Kernel {
             th.space = Some(ns);
         }
         let now_space = th.space;
-        let runnable = f.runnable != 0;
-        let prio = th.priority;
-        let was_running = matches!(th.state, RunState::Running(_));
-        th.state = if runnable {
-            RunState::Ready
-        } else {
-            RunState::Stopped
-        };
-        if was_running {
-            self.clear_running_cpu(tid);
-        }
-        if runnable {
-            self.sched_push(tid, prio);
-            let now = self.now();
-            self.kick_parked(now);
+        if f.runnable != 0 {
+            self.transition(tid, To::Ready(Enqueue::Install));
         }
         // Maintain space thread lists.
         if old_space != now_space {
@@ -1050,7 +1015,6 @@ impl Kernel {
             th.interrupted = true;
         }
         if blocked {
-            self.unlink_waiter(target);
             self.unblock(target);
         }
         Ok(SysOutcome::Done(ErrorCode::Success))

@@ -30,7 +30,7 @@ use crate::object::ObjData;
 use crate::thread::{IpcRole, RunState, WaitReason};
 
 use super::mem::PumpFault;
-use super::{KEvent, Kernel, SysCtx, SysOutcome, SysResult};
+use super::{KEvent, Kernel, SysCtx, SysOutcome, SysResult, To};
 
 /// Bytes between preemption checks under Full preemption (finer than the
 /// Partial configuration's single 8KB point, since FP is preemptible
@@ -758,21 +758,14 @@ impl Kernel {
             let c = self.conns.get(conn.0).expect("conn");
             match (role, &c.client) {
                 (IpcRole::Server, ClientEnd::Kernel(_)) => Some(XferEnd::KernelSink(conn)),
-                (IpcRole::Server, ClientEnd::Thread(ct)) => {
-                    let waiting = matches!(
-                        self.threads.get(ct.0).map(|x| x.state),
-                        Some(RunState::Blocked(WaitReason::IpcReceive(c2))) if c2 == conn
-                    );
-                    waiting.then_some(XferEnd::User(*ct))
-                }
+                (IpcRole::Server, ClientEnd::Thread(ct)) => self
+                    .waits_on(*ct, WaitReason::IpcReceive(conn))
+                    .then_some(XferEnd::User(*ct)),
                 (IpcRole::Client, _) => {
                     let st = c.server;
                     st.and_then(|st| {
-                        let waiting = matches!(
-                            self.threads.get(st.0).map(|x| x.state),
-                            Some(RunState::Blocked(WaitReason::IpcReceive(c2))) if c2 == conn
-                        );
-                        waiting.then_some(XferEnd::User(st))
+                        self.waits_on(st, WaitReason::IpcReceive(conn))
+                            .then_some(XferEnd::User(st))
                     })
                 }
             }
@@ -900,8 +893,8 @@ impl Kernel {
                     _ => Sys::IpcServerReceiveMore,
                 };
                 self.rearm_receive(sender, next);
+                self.transition(sender, To::Blocked(reason));
                 let th = self.threads.get_mut(sender.0).expect("sender");
-                th.state = RunState::Blocked(reason);
                 th.inflight = Some(next);
             }
             AfterSend::Disconnect => {
@@ -958,17 +951,11 @@ impl Kernel {
                     (km.pos < km.bytes.len() || c.open(dir)).then_some(XferEnd::KernelSrc(conn))
                 }
                 (IpcRole::Server, ClientEnd::Thread(ct)) => {
-                    let ready = matches!(
-                        self.threads.get(ct.0).map(|x| x.state),
-                        Some(RunState::Blocked(WaitReason::IpcSend(c2))) if c2 == conn
-                    );
+                    let ready = self.waits_on(*ct, WaitReason::IpcSend(conn));
                     (ready && c.open(dir)).then_some(XferEnd::User(*ct))
                 }
                 (IpcRole::Client, _) => c.server.and_then(|st| {
-                    let ready = matches!(
-                        self.threads.get(st.0).map(|x| x.state),
-                        Some(RunState::Blocked(WaitReason::IpcSend(c2))) if c2 == conn
-                    );
+                    let ready = self.waits_on(st, WaitReason::IpcSend(conn));
                     (ready && c.open(dir)).then_some(XferEnd::User(st))
                 }),
             }
@@ -1111,11 +1098,9 @@ impl Kernel {
         let Some(peer) = peer else {
             return Ok(SysOutcome::Done(ErrorCode::Success));
         };
-        let blocked_on_conn = matches!(
-            self.threads.get(peer.0).map(|x| x.state),
-            Some(RunState::Blocked(WaitReason::IpcSend(c2) | WaitReason::IpcReceive(c2))) if c2 == conn
-        );
-        if blocked_on_conn {
+        if self.waits_on(peer, WaitReason::IpcSend(conn))
+            || self.waits_on(peer, WaitReason::IpcReceive(conn))
+        {
             self.complete_blocked(peer, ErrorCode::Interrupted);
         } else if let Some(c) = self.conns.get_mut(conn.0) {
             match role {

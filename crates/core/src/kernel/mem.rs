@@ -20,7 +20,7 @@ use crate::phys::FrameId;
 use crate::space::Space;
 use crate::thread::WaitReason;
 
-use super::{KEvent, Kernel, SysOutcome, SysResult};
+use super::{KEvent, Kernel, SysOutcome, SysResult, To};
 
 /// Result of a mapping-hierarchy walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,10 +274,9 @@ impl Kernel {
         }
         self.wake_port_server(keeper);
         // Block the faulter at its (by construction clean) restart point.
-        self.clear_running_cpu(t);
+        self.transition(t, To::Blocked(WaitReason::PagerReply(conn)));
         let th = self.threads.get_mut(t.0).expect("faulting thread");
         th.open_fault = Some(record);
-        th.state = WaitReason::PagerReply(conn).into_blocked();
         // A fault inside a system call restarts that call on wakeup; a
         // fault from a user instruction simply re-executes the
         // instruction and must not be accounted as a syscall restart.
@@ -311,11 +310,7 @@ impl Kernel {
             record,
             raised_at,
         });
-        let still_waiting = matches!(
-            self.threads.get(t.0).map(|x| x.state),
-            Some(crate::thread::RunState::Blocked(WaitReason::PagerReply(c2))) if c2 == conn
-        );
-        if still_waiting {
+        if self.waits_on(t, WaitReason::PagerReply(conn)) {
             self.unblock(t);
         }
     }
@@ -511,13 +506,6 @@ pub(crate) enum PumpFault {
     },
     /// Unresolvable: the faulting side's thread is destroyed.
     Fatal,
-}
-
-impl WaitReason {
-    /// Wrap into the blocked run state (readability helper).
-    pub(crate) fn into_blocked(self) -> crate::thread::RunState {
-        crate::thread::RunState::Blocked(self)
-    }
 }
 
 /// Adapter giving the CPU core checked access to a space's memory.

@@ -106,6 +106,35 @@ pub(crate) enum SysOutcome {
 /// Shorthand for handler bodies: `?` propagates faults/blocks as outcomes.
 pub(crate) type SysResult = Result<SysOutcome, SysOutcome>;
 
+/// Where [`Kernel::transition`] moves a thread: `Running` is on the
+/// acting CPU, and `Ready` says how the thread is enqueued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum To {
+    Stopped,
+    Ready(Enqueue),
+    Running,
+    Blocked(WaitReason),
+    Halted,
+}
+
+/// How a thread entering `Ready` is queued and whom it alerts: each
+/// variant keeps one kind of site's upkeep (DESIGN.md "Thread lifecycle").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Enqueue {
+    /// Loader spawn: back, without a queue lock; kick, reschedule.
+    Spawn,
+    /// A blocked thread wakes: back; kick at the wake instant, reschedule.
+    Wake,
+    /// A timer wakes a thread: back; reschedule, no kick.
+    Timer,
+    /// User-mode preemption: back.
+    Preempt,
+    /// In-kernel preemption: head of the acting CPU's queue.
+    KernelPreempt,
+    /// New state installed (`thread_set_state`, kfault): back; kick.
+    Install,
+}
+
 /// One fine-grained kernel lock: an object class plus, for per-object
 /// classes, the object's identity. Two CPUs contend only when they hold
 /// the *same* key at overlapping simulated times — the whole point of
@@ -331,19 +360,6 @@ impl Kernel {
         }
     }
 
-    /// If `t` is running on some processor, clear that processor's current
-    /// slot (used by destruction and state installation, which may target
-    /// a thread on another CPU).
-    pub(crate) fn clear_running_cpu(&mut self, t: ThreadId) {
-        // Scan the slots directly: callers may already have overwritten
-        // the thread's run state.
-        for slot in &mut self.cpus {
-            if slot.current == Some(t) {
-                slot.current = None;
-            }
-        }
-    }
-
     /// Acquire the big kernel lock (legacy `cfg.big_lock` oracle mode):
     /// spin until no other processor is executing kernel code.
     /// Uniprocessor kernels need no locking (Table 4), so this is free
@@ -481,29 +497,22 @@ impl Kernel {
     }
 
     /// Enqueue a runnable thread on its home CPU's queue (fine mode,
-    /// taking that queue's lock) or the global queue (big-lock mode).
-    pub(crate) fn sched_push(&mut self, t: ThreadId, prio: u32) {
-        if self.sched_fine() {
-            let home = self.home_of(t);
+    /// taking that queue's lock unless `locked` is false, as for the
+    /// loader, which is outside time) or the global queue (big-lock mode).
+    fn sched_push(&mut self, t: ThreadId, prio: u32, locked: bool) {
+        if !self.sched_fine() {
+            self.ready.push(t, prio);
+            return;
+        }
+        let home = self.home_of(t);
+        if locked {
             self.fine_lock(LockKey::RunQueue(home));
-            self.runqs.push(home, t, prio);
+        }
+        self.runqs.push(home, t, prio);
+        if locked {
             self.fine_unlock(LockKey::RunQueue(home));
-            self.stats.sched_pushes += 1;
-        } else {
-            self.ready.push(t, prio);
         }
-    }
-
-    /// Loader/boot-time enqueue: same routing as [`Kernel::sched_push`]
-    /// but charges no simulated time (the loader is outside time).
-    fn sched_push_boot(&mut self, t: ThreadId, prio: u32) {
-        if self.sched_fine() {
-            let home = self.home_of(t);
-            self.runqs.push(home, t, prio);
-            self.stats.sched_pushes += 1;
-        } else {
-            self.ready.push(t, prio);
-        }
+        self.stats.sched_pushes += 1;
     }
 
     /// Enqueue a preempted or yielded-to thread at the head of its level
@@ -837,40 +846,35 @@ impl Kernel {
         regs: UserRegs,
         priority: u32,
     ) -> ThreadId {
-        let id = ThreadId(self.threads.insert(Thread::new_user(ThreadId(0))));
-        let text = self.program(program).expect("program registered");
-        let t = self.threads.get_mut(id.0).unwrap();
-        t.id = id;
+        let mut t = Thread::new_user(ThreadId(0));
         t.space = Some(space);
         t.program = Some(program);
-        t.text = Some(text);
+        t.text = Some(self.program(program).expect("program registered"));
         t.regs = regs;
         t.priority = priority;
         // Round-robin home CPU over creation order: deterministic, and
         // spreads independent boot-time workloads across the machine.
         t.home_cpu = self.stats.threads_created as usize % self.cfg.num_cpus;
-        t.state = RunState::Ready;
-        if let Some(s) = self.spaces.get_mut(space.0) {
-            s.threads.push(id);
-        }
-        self.sched_push_boot(id, priority);
-        self.kick_parked(self.now());
-        self.note_wake_priority(priority);
-        self.stats.threads_created += 1;
-        self.stats.kmem_delta(self.cfg.per_thread_kmem() as i64);
+        let id = self.add_thread(t);
+        self.transition(id, To::Ready(Enqueue::Spawn));
         id
     }
 
     /// Create a native (kernel-internal) thread, initially blocked until
     /// woken or driven by [`Kernel::start_periodic`].
     pub fn spawn_native(&mut self, priority: u32, body: Box<dyn NativeBody>) -> ThreadId {
-        let id = ThreadId(
-            self.threads
-                .insert(Thread::new_native(ThreadId(0), priority, body)),
-        );
-        let t = self.threads.get_mut(id.0).unwrap();
-        t.id = id;
-        t.state = RunState::Blocked(WaitReason::Sleep);
+        self.add_thread(Thread::new_native(ThreadId(0), priority, body))
+    }
+
+    /// Give a newly constructed thread its id, enter it in its space's
+    /// thread list, and charge its kernel memory.
+    pub(crate) fn add_thread(&mut self, th: Thread) -> ThreadId {
+        let id = ThreadId(self.threads.insert(th));
+        let th = self.threads.get_mut(id.0).expect("just inserted");
+        th.id = id;
+        if let Some(s) = th.space.and_then(|s| self.spaces.get_mut(s.0)) {
+            s.threads.push(id);
+        }
         self.stats.threads_created += 1;
         self.stats.kmem_delta(self.cfg.per_thread_kmem() as i64);
         id
@@ -1202,49 +1206,103 @@ impl Kernel {
     /// A timer wake *completes* a pending `thread_sleep` call (otherwise
     /// the atomic restart would simply re-enter the sleep).
     fn wake_from_sleep(&mut self, t: ThreadId, at: Cycles) {
-        let Some(th) = self.threads.get_mut(t.0) else {
+        let Some(th) = self.threads.get(t.0) else {
             return;
         };
-        if !th.is_blocked() {
+        let RunState::Blocked(reason) = th.state else {
             return;
+        };
+        if reason == WaitReason::Sleep && th.inflight == Some(Sys::ThreadSleep) {
+            self.complete_blocked(t, ErrorCode::Success);
+        } else {
+            self.emit(KEvent::TimerWake { thread: t, at });
+            self.transition(t, To::Ready(Enqueue::Timer));
         }
-        let sleeping_call = matches!(th.state, RunState::Blocked(WaitReason::Sleep))
-            && th.inflight == Some(Sys::ThreadSleep);
-        th.woken_at = at;
         // Timer wakes are the "event raised" edge of the kprof
         // preemption-latency probe; written unconditionally (and consumed
         // at dispatch) so the field never influences simulated behavior.
-        th.wake_pending = at;
-        if sleeping_call {
-            self.complete_blocked(t, ErrorCode::Success);
-            if let Some(th) = self.threads.get_mut(t.0) {
-                th.woken_at = at;
-                th.wake_pending = at;
-            }
-            return;
-        }
-        self.emit(KEvent::TimerWake { thread: t, at });
         let th = self.threads.get_mut(t.0).expect("checked above");
-        th.state = RunState::Ready;
-        let prio = th.priority;
-        self.sched_push(t, prio);
-        self.note_wake_priority(prio);
+        th.woken_at = at;
+        th.wake_pending = at;
     }
 
-    /// Make an (already unlinked) blocked thread runnable.
+    /// Make a blocked thread runnable.
     pub(crate) fn unblock(&mut self, t: ThreadId) {
         let now = self.cur_cpu_mut().cpu.now;
         let Some(th) = self.threads.get_mut(t.0) else {
             return;
         };
         debug_assert!(th.is_blocked(), "unblock of non-blocked {t}");
-        th.state = RunState::Ready;
         th.woken_at = now;
-        let prio = th.priority;
-        self.sched_push(t, prio);
+        self.transition(t, To::Ready(Enqueue::Wake));
         self.emit(KEvent::Wake { thread: t, at: now });
-        self.kick_parked(now);
-        self.note_wake_priority(prio);
+    }
+
+    /// Whether thread `t` is blocked for exactly `reason`.
+    pub(crate) fn waits_on(&self, t: ThreadId, reason: WaitReason) -> bool {
+        self.threads
+            .get(t.0)
+            .is_some_and(|th| th.state == RunState::Blocked(reason))
+    }
+
+    /// Move thread `t` to a new run state with the upkeep the move
+    /// implies; apart from creation and snapshot decoding, the only writer
+    /// of `Thread::state`. Leaving `Ready` dequeues the thread (unless a
+    /// dispatch already did), leaving `Running` frees its CPU slot, and
+    /// leaving `Blocked` unlinks it from the wait queue its reason names
+    /// (a queue's own wake already popped it, so that unlink finds
+    /// nothing). Entering `Ready` enqueues it as the [`Enqueue`] says;
+    /// entering `Running` fills the acting CPU's slot and re-homes it
+    /// there. Callers keep their own register, `inflight` and
+    /// `kstack_retained` writes, and their `emit`.
+    #[inline]
+    pub(crate) fn transition(&mut self, t: ThreadId, to: To) {
+        let Some(th) = self.threads.get(t.0) else {
+            return;
+        };
+        let from = th.state;
+        let new = match to {
+            To::Stopped => RunState::Stopped,
+            To::Ready(_) => RunState::Ready,
+            To::Running => RunState::Running(self.active),
+            To::Blocked(reason) => RunState::Blocked(reason),
+            To::Halted => RunState::Halted,
+        };
+        debug_assert!(
+            from.may_move_to(new),
+            "illegal move of {t}: {from:?} -> {new:?}"
+        );
+        match from {
+            RunState::Ready if to != To::Running => self.sched_remove(t),
+            RunState::Running(cpu) => self.cpus[cpu].current = None,
+            RunState::Blocked(_) => self.unlink_waiter(t),
+            _ => {}
+        }
+        let (at, active) = (self.now(), self.active);
+        let th = self.threads.get_mut(t.0).expect("checked above");
+        th.state = new;
+        let prio = th.priority;
+        match to {
+            To::Ready(Enqueue::KernelPreempt) => self.sched_push_front_here(t, prio),
+            To::Ready(how) => {
+                self.sched_push(t, prio, how != Enqueue::Spawn);
+                match how {
+                    Enqueue::Spawn | Enqueue::Wake => {
+                        self.kick_parked(at);
+                        self.note_wake_priority(prio);
+                    }
+                    Enqueue::Timer => self.note_wake_priority(prio),
+                    Enqueue::Install => self.kick_parked(self.now()),
+                    Enqueue::Preempt | Enqueue::KernelPreempt => {}
+                }
+            }
+            To::Running => {
+                th.home_cpu = active;
+                self.cpus[active].current = Some(t);
+            }
+            To::Halted => self.stats.kmem_delta(-(self.cfg.per_thread_kmem() as i64)),
+            To::Stopped | To::Blocked(_) => {}
+        }
     }
 
     /// Set the pending-reschedule flag if a newly runnable thread outranks
@@ -1285,14 +1343,13 @@ impl Kernel {
     /// brought its registers to a clean restart point and enqueued it on
     /// the appropriate wait queue.
     pub(crate) fn block_current(&mut self, t: ThreadId, reason: WaitReason) -> SysOutcome {
+        self.transition(t, To::Blocked(reason));
         let th = self.threads.get_mut(t.0).expect("current thread");
-        th.state = RunState::Blocked(reason);
         th.inflight = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax));
         // In both models a blocked thread's continuation is its registers;
         // the process model's retained stack never carries state across a
         // block (paper §5.1), so nothing else is saved.
         th.kstack_retained = false;
-        self.cur_cpu_mut().current = None;
         self.emit(KEvent::Block { thread: t, reason });
         self.audit_block_point(t, false);
         SysOutcome::Block
@@ -1306,12 +1363,9 @@ impl Kernel {
         let at = self.now();
         let retain = self.cfg.model == ExecModel::Process;
         let th = self.threads.get_mut(t.0).expect("current thread");
-        th.state = RunState::Ready;
         th.inflight = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax));
         th.kstack_retained = retain;
-        let prio = th.priority;
-        self.sched_push_front_here(t, prio);
-        self.cur_cpu_mut().current = None;
+        self.transition(t, To::Ready(Enqueue::KernelPreempt));
         self.cur_cpu_mut().resched = false;
         self.emit(KEvent::KernelPreempt { thread: t, at });
         self.audit_block_point(t, true);
@@ -1341,10 +1395,11 @@ impl Kernel {
         self.unblock(t);
     }
 
-    /// Unlink a blocked thread from whatever wait bookkeeping holds it.
-    /// Its registers remain a complete continuation, so after unlinking it
+    /// Unlink a blocked thread from whatever wait bookkeeping holds it
+    /// (the leave-`Blocked` upkeep of [`Kernel::transition`]). Its
+    /// registers remain a complete continuation, so after unlinking it
     /// can be woken (restarting the call) or have new state installed.
-    pub(crate) fn unlink_waiter(&mut self, t: ThreadId) {
+    fn unlink_waiter(&mut self, t: ThreadId) {
         let Some(th) = self.threads.get(t.0) else {
             return;
         };
@@ -1388,23 +1443,14 @@ impl Kernel {
         if th.is_halted() {
             return;
         }
-        if th.is_blocked() {
-            self.unlink_waiter(t);
-        }
+        self.transition(t, To::Halted);
         let th = self.threads.get_mut(t.0).unwrap();
-        if th.is_ready() {
-            self.sched_remove(t);
-        }
-        let th = self.threads.get_mut(t.0).unwrap();
-        th.state = RunState::Halted;
         let mut joiners = std::mem::take(&mut th.joiners);
         let mut donor_q = std::mem::take(&mut th.donors);
         let conn = th.ipc.conn.take();
         th.ipc.role = None;
         let space = th.space;
-        self.clear_running_cpu(t);
         self.emit(KEvent::Halt { thread: t });
-        self.stats.kmem_delta(-(self.cfg.per_thread_kmem() as i64));
         for j in joiners.drain(&mut self.stats.waitq) {
             self.complete_blocked(j, ErrorCode::Success);
         }

@@ -13,10 +13,10 @@ use fluke_arch::{Reg, StepOutcome, Trap};
 use crate::ids::ThreadId;
 use crate::kprof::Phase;
 use crate::kstat::FaultSide;
-use crate::thread::{Body, NativeAction, RunState};
+use crate::thread::{Body, NativeAction, WaitReason};
 
 use super::mem::SpaceMemAdapter;
-use super::{KEvent, Kernel, SysOutcome};
+use super::{Enqueue, KEvent, Kernel, SysOutcome, To};
 
 /// Longest stretch of user execution between loop iterations (bounds how
 /// stale the event check can get when no timer is pending).
@@ -185,10 +185,7 @@ impl Kernel {
         match top {
             Some(p) if p >= cur_prio => {
                 let at = self.now();
-                let th = self.threads.get_mut(cur.0).expect("current");
-                th.state = RunState::Ready;
-                self.sched_push(cur, cur_prio);
-                self.cur_cpu_mut().current = None;
+                self.transition(cur, To::Ready(Enqueue::Preempt));
                 self.emit(KEvent::UserPreempt { thread: cur, at });
             }
             _ => {
@@ -214,13 +211,9 @@ impl Kernel {
         if let Some(s) = space {
             self.cur_cpu_mut().last_space = Some(s);
         }
-        let active = self.active;
-        let th = self.threads.get_mut(t.0).expect("ready thread");
-        th.state = RunState::Running(active);
         // Affinity follows execution: future wakes enqueue where the
         // thread last ran (its state is warm in that CPU's cache).
-        th.home_cpu = active;
-        self.cur_cpu_mut().current = Some(t);
+        self.transition(t, To::Running);
         // Consume the reschedule that caused this dispatch *before*
         // charging the switch cost: a wake that fires during the switch
         // (serviced inside `charge`) must set a fresh pending reschedule,
@@ -337,9 +330,7 @@ impl Kernel {
         match action {
             NativeAction::BlockUntilWoken { work } => {
                 self.charge(work);
-                let th = self.threads.get_mut(cur.0).expect("current");
-                th.state = RunState::Blocked(crate::thread::WaitReason::Sleep);
-                self.cur_cpu_mut().current = None;
+                self.transition(cur, To::Blocked(WaitReason::Sleep));
             }
             NativeAction::Halt { work } => {
                 self.charge(work);

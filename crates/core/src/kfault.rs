@@ -34,8 +34,8 @@ use fluke_arch::UserRegs;
 
 use crate::ids::ThreadId;
 use crate::kernel::mem::Walk;
-use crate::kernel::{KEvent, Kernel, LockKey};
-use crate::thread::{Body, RunState};
+use crate::kernel::{Enqueue, KEvent, Kernel, LockKey, To};
+use crate::thread::Body;
 
 /// The four adversarial perturbations `kfault` can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -280,11 +280,8 @@ impl Kernel {
             // Restore: the frame is the complete new truth.
             th.regs = frame.regs;
             th.priority = frame.priority;
-            th.state = RunState::Ready;
         }
-        self.cur_cpu_mut().current = None;
-        self.sched_push(victim, frame.priority);
-        self.kick_parked(self.now());
+        self.transition(victim, To::Ready(Enqueue::Install));
         self.emit(KEvent::FaultInjected {
             kind: KfaultKind::ExtractRestore,
             thread: victim,

@@ -128,6 +128,29 @@ pub enum RunState {
     Halted,
 }
 
+impl RunState {
+    /// Whether a thread may move from `self` to `to`: the table that
+    /// `Kernel::transition` asserts in debug builds (DESIGN.md "Thread
+    /// lifecycle"). Creation sets a thread's first state without a move.
+    pub fn may_move_to(self, to: RunState) -> bool {
+        use RunState::*;
+        use WaitReason::{IpcReceive, IpcSend, PagerReply};
+        match (self, to) {
+            (Ready, Running(_)) | (Running(_), Blocked(_)) => true,
+            (_, Running(_)) | (Ready, Ready) | (Halted, Halted) => false,
+            // A blocked wait changes in place only when a sender's turns
+            // into the reply wait, or when an IPC party's memory faults
+            // mid-transfer and it waits on its pager.
+            (Blocked(IpcSend(a)), Blocked(IpcReceive(b))) => a == b,
+            (Blocked(w), Blocked(PagerReply(_))) => {
+                w.wait_class() == WaitClass::Ipc && !matches!(w, PagerReply(_))
+            }
+            (_, Blocked(_)) => false,
+            (_, Ready | Stopped | Halted) => true,
+        }
+    }
+}
+
 /// What a native (in-kernel) thread body does when dispatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NativeAction {
@@ -306,11 +329,12 @@ impl Thread {
         }
     }
 
-    /// Create a native (kernel-internal) thread.
+    /// Create a native (kernel-internal) thread, asleep until woken.
     pub fn new_native(id: ThreadId, priority: u32, body: Box<dyn NativeBody>) -> Self {
         let mut t = Self::new_user(id);
         t.priority = priority;
         t.body = Body::Native(body);
+        t.state = RunState::Blocked(WaitReason::Sleep);
         t
     }
 
@@ -434,6 +458,97 @@ mod tests {
         let t = Thread::new_native(ThreadId(2), 20, Box::new(Probe));
         assert_eq!(t.priority, 20);
         assert!(matches!(t.body, Body::Native(_)));
+    }
+
+    /// Every run state, with one `Blocked` reason per wait family.
+    fn all_states() -> Vec<RunState> {
+        let (o, c, t, s) = (ObjId(1), ConnId(2), ThreadId(3), SpaceId(4));
+        let reasons = [
+            WaitReason::Mutex(o),
+            WaitReason::Cond(o),
+            WaitReason::PortWait(o),
+            WaitReason::PsetWait(o),
+            WaitReason::IpcConnect(o),
+            WaitReason::IpcSend(c),
+            WaitReason::IpcReceive(c),
+            WaitReason::OnewaySend(o),
+            WaitReason::OnewayReceive(o),
+            WaitReason::PagerReply(c),
+            WaitReason::Join(t),
+            WaitReason::Sleep,
+            WaitReason::SpaceIdle(s),
+            WaitReason::Donate(t),
+        ];
+        let mut v = vec![
+            RunState::Stopped,
+            RunState::Ready,
+            RunState::Running(0),
+            RunState::Running(1),
+            RunState::Halted,
+        ];
+        v.extend(reasons.map(RunState::Blocked));
+        v
+    }
+
+    /// The moves the kernel's call sites make, spelled out case by case
+    /// (independently of `may_move_to`'s match).
+    fn made_by_some_site(from: RunState, to: RunState) -> bool {
+        use RunState::*;
+        let ipc_wait = |w: WaitReason| {
+            matches!(
+                w,
+                WaitReason::PortWait(_)
+                    | WaitReason::PsetWait(_)
+                    | WaitReason::IpcConnect(_)
+                    | WaitReason::IpcSend(_)
+                    | WaitReason::IpcReceive(_)
+                    | WaitReason::OnewaySend(_)
+                    | WaitReason::OnewayReceive(_)
+            )
+        };
+        match to {
+            // dispatch
+            Running(_) => from == Ready,
+            // spawn, thread_set_state, wakes, preemptions, kfault restore
+            Ready => matches!(from, Stopped | Halted | Blocked(_) | Running(_)),
+            // block_current, a hard fault, a native thread's sleep
+            Blocked(_) if matches!(from, Running(_)) => true,
+            // blocked_sender_transition
+            Blocked(WaitReason::IpcReceive(c)) if from == Blocked(WaitReason::IpcSend(c)) => true,
+            // an IPC party's hard fault mid-transfer
+            Blocked(WaitReason::PagerReply(_)) => matches!(from, Blocked(w) if ipc_wait(w)),
+            Blocked(_) => false,
+            // thread_set_state pulls any thread out first
+            Stopped => true,
+            // halt_thread of any live thread
+            Halted => from != Halted,
+        }
+    }
+
+    #[test]
+    fn legality_table_accepts_exactly_the_site_moves() {
+        for from in all_states() {
+            for to in all_states() {
+                assert_eq!(
+                    from.may_move_to(to),
+                    made_by_some_site(from, to),
+                    "{from:?} -> {to:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn legality_table_rejects_named_illegal_moves() {
+        let blocked = RunState::Blocked(WaitReason::Mutex(ObjId(0)));
+        assert!(!blocked.may_move_to(RunState::Running(0)));
+        assert!(!RunState::Ready.may_move_to(blocked));
+        assert!(!RunState::Running(0).may_move_to(RunState::Running(1)));
+        assert!(!RunState::Running(0).may_move_to(RunState::Running(0)));
+        assert!(!RunState::Ready.may_move_to(RunState::Ready));
+        assert!(!RunState::Stopped.may_move_to(blocked));
+        assert!(!RunState::Halted.may_move_to(RunState::Halted));
+        assert!(!blocked.may_move_to(RunState::Blocked(WaitReason::Sleep)));
     }
 
     #[test]
