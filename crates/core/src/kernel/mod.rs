@@ -1253,8 +1253,10 @@ impl Kernel {
     /// (a queue's own wake already popped it, so that unlink finds
     /// nothing). Entering `Ready` enqueues it as the [`Enqueue`] says;
     /// entering `Running` fills the acting CPU's slot and re-homes it
-    /// there. Callers keep their own register, `inflight` and
-    /// `kstack_retained` writes, and their `emit`.
+    /// there. A thread holds its kernel memory unless `Halted`: entering
+    /// `Halted` releases it and leaving (a revival) charges it again.
+    /// Callers keep their own register, `inflight` and `kstack_retained`
+    /// writes, and their `emit`.
     #[inline]
     pub(crate) fn transition(&mut self, t: ThreadId, to: To) {
         let Some(th) = self.threads.get(t.0) else {
@@ -1276,7 +1278,8 @@ impl Kernel {
             RunState::Ready if to != To::Running => self.sched_remove(t),
             RunState::Running(cpu) => self.cpus[cpu].current = None,
             RunState::Blocked(_) => self.unlink_waiter(t),
-            _ => {}
+            RunState::Halted => self.stats.kmem_delta(self.cfg.per_thread_kmem() as i64),
+            RunState::Ready | RunState::Stopped => {}
         }
         let (at, active) = (self.now(), self.active);
         let th = self.threads.get_mut(t.0).expect("checked above");

@@ -321,3 +321,61 @@ fn self_set_state_is_rejected() {
     assert!(run_to_halt(&mut k, &[t], 10_000_000));
     assert_eq!(k.read_mem_u32(p.space, rec), ErrorCode::InvalidArg as u32);
 }
+
+/// A halted thread revived by `thread_set_state` holds kernel memory
+/// again: it is charged when it leaves `Halted` and released when it
+/// halts a second time, so the books balance with a bystander still live.
+#[test]
+fn revived_halted_thread_is_charged_its_kernel_memory() {
+    use fluke_api::abi::{ARG_COUNT, ARG_HANDLE, ARG_SBUF};
+    use fluke_api::state::THREAD_FRAME_WORDS;
+    use fluke_core::TraceEvent;
+    let mut k = Kernel::new(Config::process_np().with_tracing(1 << 16));
+    let mut p = ChildProc::new(&mut k);
+    let h_victim = p.alloc_obj();
+    let frame = p.mem_base + 0x2000;
+    let rec = p.mem_base + 0x3000;
+
+    let mut a = Assembler::new("victim");
+    a.compute(100);
+    a.halt();
+    let victim = p.start(&mut k, a.finish(), 8);
+    k.loader_thread_object(p.space, h_victim, victim);
+
+    // The manager joins the victim, extracts its frame, marks it
+    // runnable, and installs it back.
+    let mut a = Assembler::new("manager");
+    a.sys_h(Sys::ThreadWait, h_victim);
+    a.movi(ARG_HANDLE, h_victim);
+    a.movi(ARG_SBUF, frame);
+    a.movi(ARG_COUNT, THREAD_FRAME_WORDS as u32);
+    a.sys(Sys::ThreadGetState);
+    a.store_const(frame + 16 * 4, 1);
+    a.movi(ARG_HANDLE, h_victim);
+    a.movi(ARG_SBUF, frame);
+    a.movi(ARG_COUNT, THREAD_FRAME_WORDS as u32);
+    a.sys(Sys::ThreadSetState);
+    a.movi(Reg::Ebp, rec);
+    a.store(Reg::Ebp, 0, Reg::Eax);
+    a.halt();
+    let manager = p.start(&mut k, a.finish(), 8);
+
+    // A low-priority bystander spins for the whole run.
+    let mut a = Assembler::new("bystander");
+    a.label("top");
+    a.compute(1_000);
+    a.jmp("top");
+    let bystander = p.start(&mut k, a.finish(), 2);
+
+    assert!(run_to_halt(&mut k, &[victim, manager], 10_000_000));
+    assert_eq!(k.read_mem_u32(p.space, rec), ErrorCode::Success as u32);
+    let halts = k
+        .trace
+        .merged()
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::Halt { thread } if thread == victim))
+        .count();
+    assert_eq!(halts, 2, "the revived victim halts a second time");
+    assert!(!k.thread_halted(bystander));
+    assert_eq!(k.stats.thread_kmem, k.cfg.per_thread_kmem());
+}
