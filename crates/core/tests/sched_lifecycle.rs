@@ -379,3 +379,83 @@ fn revived_halted_thread_is_charged_its_kernel_memory() {
     assert!(!k.thread_halted(bystander));
     assert_eq!(k.stats.thread_kmem, k.cfg.per_thread_kmem());
 }
+
+/// `thread_set_state` into a client blocked on its own connection pulls
+/// the client out before tearing that connection down. The teardown
+/// must not also complete and enqueue the client: it is queued once,
+/// runs its installed frame, learns the connection is gone, and halts
+/// exactly once.
+#[test]
+fn install_into_thread_blocked_on_its_connection_queues_it_once() {
+    use fluke_api::abi::{ARG_COUNT, ARG_HANDLE, ARG_SBUF};
+    use fluke_api::state::THREAD_FRAME_WORDS;
+    use fluke_api::ObjType;
+    use fluke_core::TraceEvent;
+    let mut k = Kernel::new(Config::process_np().with_tracing(1 << 16));
+    let mut server = ChildProc::with_mem(&mut k, 0x0010_0000, 0x8000);
+    let mut client = ChildProc::with_mem(&mut k, 0x0020_0000, 0x8000);
+    let h_port = server.alloc_obj();
+    let h_ref = client.alloc_obj();
+    let h_client = client.alloc_obj();
+    let port = k.loader_create(server.space, h_port, ObjType::Port);
+    k.loader_ref(client.space, h_ref, port);
+    let (sbuf, cbuf) = (server.mem_base + 0x1000, client.mem_base + 0x1000);
+    let (rec, mrec, frame) = (
+        client.mem_base + 0x2000,
+        client.mem_base + 0x2004,
+        client.mem_base + 0x3000,
+    );
+
+    // The server takes the request and never replies.
+    let mut a = Assembler::new("server");
+    a.server_wait_receive(h_port, sbuf, 8);
+    a.sys(Sys::ThreadSleep);
+    a.halt();
+    let st = server.start(&mut k, a.finish(), 8);
+    let mut a = Assembler::new("client");
+    a.client_rpc(h_ref, cbuf, 8, cbuf, 8);
+    a.movi(Reg::Ebp, rec);
+    a.store(Reg::Ebp, 0, Reg::Eax);
+    a.halt();
+    let ct = client.start(&mut k, a.finish(), 8);
+    k.run(Some(1_000_000));
+    assert!(matches!(
+        k.thread_run_state(ct),
+        RunState::Blocked(WaitReason::IpcReceive(_))
+    ));
+    k.loader_thread_object(client.space, h_client, ct);
+
+    // A manager extracts the client's frame and installs it back.
+    let mut a = Assembler::new("manager");
+    a.movi(ARG_HANDLE, h_client);
+    a.movi(ARG_SBUF, frame);
+    a.movi(ARG_COUNT, THREAD_FRAME_WORDS as u32);
+    a.sys(Sys::ThreadGetState);
+    a.movi(ARG_HANDLE, h_client);
+    a.movi(ARG_SBUF, frame);
+    a.movi(ARG_COUNT, THREAD_FRAME_WORDS as u32);
+    a.sys(Sys::ThreadSetState);
+    a.movi(Reg::Ebp, mrec);
+    a.store(Reg::Ebp, 0, Reg::Eax);
+    a.halt();
+    let mt = client.start(&mut k, a.finish(), 8);
+
+    assert!(run_to_halt(&mut k, &[mt, ct], 10_000_000));
+    assert_eq!(
+        k.read_mem_u32(client.space, mrec),
+        ErrorCode::Success as u32
+    );
+    assert_eq!(
+        k.read_mem_u32(client.space, rec),
+        ErrorCode::PeerDisconnected as u32
+    );
+    let halts = k
+        .trace
+        .merged()
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::Halt { thread } if thread == ct))
+        .count();
+    assert_eq!(halts, 1, "the client halts exactly once");
+    assert!(!k.thread_halted(st));
+    assert_eq!(k.stats.thread_kmem, k.cfg.per_thread_kmem());
+}
