@@ -138,6 +138,39 @@ fn thread_sleep_wakes_on_timer() {
     assert!(woke_us >= 5_000, "woke at {woke_us}µs, before the timer");
 }
 
+/// A timer wake of a thread queued on a mutex takes it off the mutex's
+/// queue: its restarted `mutex_lock` queues it afresh, and the holder's
+/// unlock then hands it the mutex.
+#[test]
+fn timer_wake_of_a_mutex_waiter_unlinks_it() {
+    let mut k = Kernel::new(Config::process_np());
+    let mut p = ChildProc::new(&mut k);
+    let h_mutex = p.alloc_obj();
+    let rec = p.mem_base + 0x1000;
+    let mut a = Assembler::new("holder");
+    a.sys_h(Sys::MutexCreate, h_mutex);
+    a.mutex_lock(h_mutex);
+    a.sys(Sys::ThreadSleep);
+    a.mutex_unlock(h_mutex);
+    a.halt();
+    let holder = p.start(&mut k, a.finish(), 8);
+    let mut a = Assembler::new("waiter");
+    a.mutex_lock(h_mutex);
+    a.movi(Reg::Ebp, rec);
+    a.store(Reg::Ebp, 0, Reg::Eax);
+    a.halt();
+    let waiter = p.start(&mut k, a.finish(), 8);
+    k.run(Some(1_000_000));
+    assert!(matches!(
+        k.thread_run_state(waiter),
+        RunState::Blocked(WaitReason::Mutex(_))
+    ));
+    k.wake_at(waiter, ms_to_cycles(1));
+    k.wake_at(holder, ms_to_cycles(2));
+    assert!(run_to_halt(&mut k, &[holder, waiter], 100_000_000));
+    assert_eq!(k.read_mem_u32(p.space, rec), ErrorCode::Success as u32);
+}
+
 /// `space_wait_threads` completes once the watched space empties.
 #[test]
 fn space_wait_threads_reaps() {
